@@ -18,7 +18,13 @@ from pathlib import Path
 from .mcore import LogReal, MTolerance, TailWindow, Verdict
 from .weights import LambdaGrid, SvaPlusEstimate, WeightSequence, sva_plus_estimate
 from .gmean import gbar_limit_estimate, weighted_geo_means
-from .tauber import ReportThresholds, TauberReport, recoverability_report
+from .tauber import (
+    ReportThresholds,
+    TauberReport,
+    default_report_window,
+    recoverability_report,
+    usable_end,
+)
 from .ifn import (
     IFN,
     IFNTauberReport,
@@ -264,6 +270,8 @@ def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list, str]:
         return generators.read_ifn_sequence(path), str(path)
     except OSError as exc:
         raise ConfigError(f"cannot read sequence file {path}: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"malformed sequence file {path}: {exc}")
 
 
 def _base_document(config: RunConfig, kind: str, length: int, source: str) -> dict:
@@ -282,22 +290,27 @@ def _base_document(config: RunConfig, kind: str, length: int, source: str) -> di
 def _windows_for(
     config: RunConfig, length: int, grid: LambdaGrid
 ) -> tuple[TailWindow, TailWindow]:
-    """The user-facing verdict window, and the lambda-safe tauber window."""
-    if config.window_spec is not None:
-        start, end = config.window_spec
-        if end >= length:
-            raise ConfigError(
-                f"window {start}:{end} does not fit the sequence (length {length})"
-            )
-        verdict_window = TailWindow(start, end)
-    else:
-        verdict_window = TailWindow.last_half(length)
-    bound = min(length - 1, int((length - 1) / grid.max_lambda))
-    tauber_window = TailWindow(
-        min(verdict_window.start_index, bound),
-        min(verdict_window.end_index, bound),
-    )
-    return verdict_window, tauber_window
+    """The user-facing verdict window, and the lambda-safe tauber window.
+
+    Without --window the tauber window is the library default. A given
+    window is intersected with the usable range [0, bound], where
+    bound = (length-1)/max(lambda) keeps every lambda_n in the sequence.
+    """
+    if config.window_spec is None:
+        return TailWindow.last_half(length), default_report_window(length, grid)
+    start, end = config.window_spec
+    if end >= length:
+        raise ConfigError(
+            f"window {start}:{end} does not fit the sequence (length {length})"
+        )
+    bound = usable_end(length, grid)
+    if start > bound:
+        raise ConfigError(
+            f"window {start}:{end} starts past {bound}, the last index whose "
+            f"lambda_n stays inside the sequence for lambda grid max "
+            f"{grid.max_lambda}"
+        )
+    return TailWindow(start, end), TailWindow(start, min(end, bound))
 
 
 @dataclass

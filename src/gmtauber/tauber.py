@@ -51,6 +51,37 @@ def _check_lambda_bounds(lam: float, window: TailWindow, length: int) -> None:
         )
 
 
+def _range_reduce(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, op: np.ufunc
+) -> np.ndarray:
+    """op.reduce(values[lo[i] : hi[i] + 1]) for every i (needs lo <= hi).
+
+    Sparse table built one level at a time: level k holds op over every
+    run of 2^k values, and answers the queries whose length lies in
+    [2^k, 2^(k+1)) with two overlapping runs before the next level
+    replaces it. At most two levels are alive, so time is
+    O(len(values) * log(max length) + len(lo)) and extra memory
+    O(len(values) + len(lo)). op must be idempotent (max or min), which
+    makes the answers exact.
+    """
+    _, exp = np.frexp(hi - lo + 1)
+    level = exp - 1  # floor(log2(length)), exact for lengths below 2^53
+    order = np.argsort(level, kind="stable")
+    ranked = level[order]
+    top = int(ranked[-1])
+    bounds = np.searchsorted(ranked, np.arange(top + 2))
+    out = np.empty(lo.size, dtype=values.dtype)
+    table = values
+    for k in range(top + 1):
+        if k:
+            half = 1 << (k - 1)
+            table = op(table[:-half], table[half:])
+        q = order[bounds[k] : bounds[k + 1]]
+        if q.size:
+            out[q] = op(table[lo[q]], table[hi[q] - (1 << k) + 1])
+    return out
+
+
 def slow_oscillation_curve(
     u: Sequence[LogReal],
     grid: LambdaGrid,
@@ -62,26 +93,35 @@ def slow_oscillation_curve(
     Forward (lambda > 1): max_{n < m <= lambda_n} |u_m/u_n|*.
     Backward (lambda < 1): max_{lambda_n < m <= n} |u_n/u_m|*.
     Lambdas whose blocks are empty for every n in the window are omitted.
+
+    Block maxima and minima come from range queries over the span the
+    blocks cover (see _range_reduce): O(S log B + W) per lambda for a
+    span of S indices, blocks of at most B and a window of W.
     """
     window.check_fits(len(u))
     x = log_array(u)
+    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     branch = grid.below_one if backward else grid.above_one
     curve: dict[float, float] = {}
     for lam in branch:
         if not backward:
             _check_lambda_bounds(lam, window, len(u))
-        worst = -math.inf
-        for n in window.indices():
-            ln = math.floor(lam * n)
-            lo, hi = (ln, n) if backward else (n, ln)
-            if hi <= lo:
-                continue
-            block = x[lo + 1 : hi + 1]
-            dev = max(block.max() - x[n], x[n] - block.min())
-            if dev > worst:
-                worst = dev
-        if worst > -math.inf:
-            curve[lam] = _safe_exp(worst)
+        lns = np.floor(lam * ns).astype(np.int64)
+        lo, hi = (lns + 1, ns) if backward else (ns + 1, lns)
+        keep = hi >= lo
+        if not keep.any():
+            continue
+        n, lo, hi = ns[keep], lo[keep], hi[keep]
+        base = int(lo.min())
+        span = x[base : int(hi.max()) + 1]
+        lo -= base
+        hi -= base
+        xn = x[n]
+        dev = np.maximum(
+            _range_reduce(span, lo, hi, np.maximum) - xn,
+            xn - _range_reduce(span, lo, hi, np.minimum),
+        )
+        curve[lam] = _safe_exp(float(dev.max()))
     return curve
 
 
@@ -251,9 +291,16 @@ class TauberReport:
     skipped_lambdas: dict[str, tuple[float, ...]]
 
 
+def usable_end(length: int, grid: LambdaGrid) -> int:
+    """End of the usable index range: (length - 1) / max(lambda), so that
+    lambda_n = floor(lambda * n) stays inside the sequence."""
+    # min before int(): (length-1)/lambda overflows to inf for tiny lambdas.
+    return int(min(length - 1, (length - 1) / grid.max_lambda))
+
+
 def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
     """Last half of the index range that keeps every lambda_n in bounds."""
-    end = min(length - 1, int((length - 1) / grid.max_lambda))
+    end = usable_end(length, grid)
     if end < 1:
         raise ValueError(
             f"sequence of length {length} is too short for lambda grid "

@@ -1,7 +1,9 @@
-"""Shared test helpers: definition-level IFN mean folds and generators
-for sequences those folds can evaluate without float underflow."""
+"""Shared test helpers: definition-level IFN mean folds, generators for
+sequences those folds can evaluate without float underflow, and the
+per-n slow-oscillation loop kept as the oracle for the vectorized one."""
 
 import math
+from typing import Sequence
 
 from gmtauber.ifn import (
     ADD_IDENTITY,
@@ -12,6 +14,9 @@ from gmtauber.ifn import (
     power,
     scalar_mul,
 )
+from gmtauber.mcore import LogReal, TailWindow, log_array
+from gmtauber.tauber import _check_lambda_bounds, _safe_exp
+from gmtauber.weights import LambdaGrid
 
 
 def fold_ifwa(seq, p_values, n):
@@ -49,3 +54,33 @@ def random_fold_sequence(rng) -> tuple[list[IFN], list[float]]:
         float(rng.uniform(0.05, 1.5)) for _ in range(length - 1)
     ]
     return seq, p
+
+
+def slow_oscillation_curve_oracle(
+    u: Sequence[LogReal],
+    grid: LambdaGrid,
+    window: TailWindow,
+    backward: bool = False,
+) -> dict[float, float]:
+    """Straightforward form of gmtauber.tauber.slow_oscillation_curve:
+    every block extremum is recomputed from scratch, O(W * B) per lambda."""
+    window.check_fits(len(u))
+    x = log_array(u)
+    branch = grid.below_one if backward else grid.above_one
+    curve: dict[float, float] = {}
+    for lam in branch:
+        if not backward:
+            _check_lambda_bounds(lam, window, len(u))
+        worst = -math.inf
+        for n in window.indices():
+            ln = math.floor(lam * n)
+            lo, hi = (ln, n) if backward else (n, ln)
+            if hi <= lo:
+                continue
+            block = x[lo + 1 : hi + 1]
+            dev = max(block.max() - x[n], x[n] - block.min())
+            if dev > worst:
+                worst = dev
+        if worst > -math.inf:
+            curve[lam] = _safe_exp(worst)
+    return curve

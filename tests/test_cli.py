@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from gmtauber.cli import main
+from gmtauber.tauber import default_report_window
+from gmtauber.weights import LambdaGrid
 
 
 def run_cli(*argv) -> int:
@@ -136,6 +138,40 @@ class TestAnalyze:
         doc = load(out)
         assert doc["analysis"]["gbar"]["window"] == {"start": 200, "end": 500}
 
+    def test_default_diagnostic_window_is_library_default(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex1", "--n-max", "1000",
+            "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        win = default_report_window(1001, LambdaGrid.default())
+        expect = {"start": win.start_index, "end": win.end_index}
+        assert doc["analysis"]["tauber"]["window"] == expect
+        assert doc["weights"]["sva"]["window"] == expect
+        assert expect["end"] > expect["start"]
+        assert doc["analysis"]["gbar"]["window"] == {"start": 500, "end": 1000}
+
+    def test_window_crossing_the_bound_is_truncated(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "1000",
+            "--window", "200:800", "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        assert doc["analysis"]["gbar"]["window"] == {"start": 200, "end": 800}
+        assert doc["analysis"]["tauber"]["window"] == {"start": 200, "end": 500}
+        assert doc["weights"]["sva"]["window"] == {"start": 200, "end": 500}
+
+    def test_tiny_lambdas_keep_the_whole_range_usable(self, tmp_path):
+        # (len-1)/max(lambda) overflows a float for a subnormal lambda
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "100",
+            "--lambda-grid", "1e-320", "--no-timestamp", "--out", str(out),
+        ) == 0
+        assert load(out)["analysis"]["tauber"]["window"] == {"start": 50, "end": 100}
+
 
 class TestIfnAnalyze:
     def test_hopping_sequence_report(self, tmp_path):
@@ -173,6 +209,21 @@ class TestIfnAnalyze:
         assert xi["mu"] == pytest.approx(1.0 / 27.0, abs=2e-3)
         assert xi["nu"] == pytest.approx(7.0 / 8.0, abs=2e-3)
 
+    def test_default_diagnostic_window_is_library_default(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
+            "--n-max", "600", "--mode", "otimes", "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        win = default_report_window(601, LambdaGrid.default())
+        expect = {"start": win.start_index, "end": win.end_index}
+        assert expect["end"] > expect["start"]
+        assert doc["weights"]["sva"]["window"] == expect
+        for comp in doc["analysis"]["tauber"]["components"].values():
+            assert comp["window"] == expect
+        assert doc["analysis"]["tauber"]["recovery_verdict"] is False
+
     def test_precondition_failure_exits_3(self):
         # Index 0 of the drifting sequence has nu = 0: the additive mean
         # assumption fails loudly.
@@ -197,6 +248,13 @@ class TestConfigErrors:
             "analyze", "--generator", "ex2", "--n-max", "100", "--window", "50:500"
         ) == 2
 
+    def test_window_past_the_bound(self, capsys):
+        # length 101 under lambda max 2: lambda_n stays in range up to n = 50
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "100", "--window", "60:90"
+        ) == 2
+        assert "starts past 50" in capsys.readouterr().err
+
     def test_bad_window_spec(self):
         assert run_cli(
             "analyze", "--generator", "ex2", "--n-max", "100", "--window", "nope"
@@ -214,6 +272,22 @@ class TestConfigErrors:
 
     def test_missing_input_file(self):
         assert run_cli("analyze", "--in", "/nonexistent/seq.txt") == 2
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("analyze", "log:\n0.1\nabc\n"),
+            ("analyze", "log:\n0.1\nnan\n0.2\n"),
+            ("analyze", "1.0\n-2.0\n"),
+            ("ifn-analyze", "0.2,0.3\n0.2,x\n"),
+        ],
+        ids=["log-not-numeric", "log-nan", "plain-negative", "ifn-not-numeric"],
+    )
+    def test_malformed_sequence_file(self, tmp_path, capsys, command, text):
+        f = tmp_path / "seq.txt"
+        f.write_text(text)
+        assert run_cli(command, "--in", str(f)) == 2
+        assert str(f) in capsys.readouterr().err
 
 
 class TestGenerateCommand:

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmtauber.mcore import LogReal, MTolerance, TailWindow
 from gmtauber.weights import LambdaGrid, WeightSequence
@@ -15,8 +17,11 @@ from gmtauber.tauber import (
     tauber_con1_estimate,
     tauber_con2_estimate,
     tauber_condition_curve,
+    usable_end,
 )
 from gmtauber.generators import generate
+
+from support import slow_oscillation_curve_oracle
 
 
 def L(x: float) -> LogReal:
@@ -93,6 +98,58 @@ class TestAgainstBruteForce:
         assert back[0.5] == pytest.approx(
             brute_slow_osc(logs, 0.5, window, True), rel=1e-12
         )
+
+
+def _log_values(kind: str, length: int, rng) -> np.ndarray:
+    if kind == "small-int":  # ties and plateaus
+        return rng.integers(-2, 3, size=length).astype(float)
+    if kind == "monotone":
+        return np.cumsum(rng.exponential(1.0, size=length))
+    if kind == "walk":
+        return np.cumsum(rng.normal(0.0, 1.0, size=length))
+    # steps of hundreds push block deviations past exp(709): estimates saturate
+    return np.cumsum(rng.normal(0.0, 400.0, size=length))
+
+
+_near_one = st.integers(1, 12).map(lambda j: 2.0**-j)
+_lambdas_above = st.one_of(
+    _near_one.map(lambda d: 1.0 + d),
+    st.floats(1.0, 3.0, exclude_min=True),
+)
+_lambdas_below = st.one_of(
+    _near_one.map(lambda d: 1.0 - d),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def slow_osc_cases(draw):
+    kind = draw(st.sampled_from(["small-int", "monotone", "walk", "saturating"]))
+    length = draw(st.integers(1, 2000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    logs = _log_values(kind, length, np.random.default_rng(seed))
+    below = draw(st.lists(_lambdas_below, min_size=1, max_size=4, unique=True))
+    above = draw(st.lists(_lambdas_above, max_size=4, unique=True))
+    grid = LambdaGrid.of(below + above)
+    bound = usable_end(length, grid)
+    start = draw(st.integers(0, bound))
+    end = draw(st.integers(start, bound))
+    return [LogReal.from_log(float(v)) for v in logs], grid, TailWindow(start, end)
+
+
+class TestSlowOscillationOracle:
+    @given(slow_osc_cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_identical_to_per_n_loop(self, case, backward):
+        u, grid, window = case
+        try:
+            expect = slow_oscillation_curve_oracle(u, grid, window, backward=backward)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                slow_oscillation_curve(u, grid, window, backward=backward)
+            return
+        got = slow_oscillation_curve(u, grid, window, backward=backward)
+        assert list(got.items()) == list(expect.items())
 
 
 class TestSlowOscillation:
