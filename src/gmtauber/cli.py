@@ -14,10 +14,13 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict
 from .weights import LambdaGrid, SvaPlusEstimate, WeightSequence, sva_plus_estimate
-from .gmean import gbar_limit_estimate, weighted_geo_means
+from .gmean import gbar_verdict, transform_log_values
 from .tauber import (
     ReportThresholds,
     TauberReport,
@@ -250,7 +253,8 @@ def build_weights(spec: str, length: int) -> WeightSequence:
     )
 
 
-def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list, str]:
+def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list | np.ndarray, str]:
+    """A real sequence as its float64 log array, an IFN one as IFN objects."""
     if config.generator is not None:
         kind = generators.generator_kind(config.generator)
         if kind != expect_kind:
@@ -260,13 +264,15 @@ def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list, str]:
             )
         default = DEFAULT_N_MAX_REAL if kind == "real" else DEFAULT_N_MAX_IFN
         n_max = config.n_max if config.n_max is not None else default
+        if kind == "real":
+            return generators.generate_array(config.generator, n_max), config.generator
         return generators.generate(config.generator, n_max), config.generator
     if config.n_max is not None:
         raise ConfigError("--n-max applies to generated sequences, not --in files")
     path = config.input_path
     try:
         if expect_kind == "real":
-            return generators.read_real_sequence(path), str(path)
+            return generators.read_real_logs(path), str(path)
         return generators.read_ifn_sequence(path), str(path)
     except OSError as exc:
         raise ConfigError(f"cannot read sequence file {path}: {exc}")
@@ -295,9 +301,16 @@ def _windows_for(
     Without --window the tauber window is the library default. A given
     window is intersected with the usable range [0, bound], where
     bound = (length-1)/max(lambda) keeps every lambda_n in the sequence.
+    Either must contain an index n >= 1 for the Landau ratio.
     """
     if config.window_spec is None:
-        return TailWindow.last_half(length), default_report_window(length, grid)
+        try:
+            return TailWindow.last_half(length), default_report_window(length, grid)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc}: raise --n-max (or use a longer --in file) or lower "
+                "the largest --lambda-grid value"
+            )
     start, end = config.window_spec
     if end >= length:
         raise ConfigError(
@@ -310,6 +323,12 @@ def _windows_for(
             f"lambda_n stays inside the sequence for lambda grid max "
             f"{grid.max_lambda}"
         )
+    if min(end, bound) < 1:
+        raise ConfigError(
+            f"window {start}:{end} leaves the diagnostics [{start}, "
+            f"{min(end, bound)}] with no index n >= 1, which the Landau ratio "
+            "(u_n/u_{n-1})^n needs"
+        )
     return TailWindow(start, end), TailWindow(start, min(end, bound))
 
 
@@ -317,36 +336,36 @@ def _windows_for(
 class RunResult:
     doc: dict
     kind: str
-    rows: list[tuple]
+    rows: Iterable[tuple]  # per-index CSV rows; empty unless --format csv
     header: tuple[str, ...]
 
 
 def run_real(config: RunConfig) -> RunResult:
-    seq, source = _load_sequence(config, "real")
+    x, source = _load_sequence(config, "real")
     grid = _build_grid(config.lambda_values)
-    w = build_weights(config.weights_spec, len(seq))
-    verdict_window, tauber_window = _windows_for(config, len(seq), grid)
+    w = build_weights(config.weights_spec, x.size)
+    verdict_window, tauber_window = _windows_for(config, x.size, grid)
 
     tol = MTolerance(config.tol)
-    means = weighted_geo_means(seq, w)
-    gbar = gbar_limit_estimate(seq, w, tol, verdict_window)
+    means = transform_log_values(x, w)
+    gbar = gbar_verdict(means, tol, verdict_window)
     thresholds = ReportThresholds(theta=config.theta, gbar_tol=tol)
-    tauber = recoverability_report(seq, w, grid, tauber_window, thresholds)
+    tauber = recoverability_report(x, w, grid, tauber_window, thresholds)
     sva = sva_plus_estimate(w, grid, tauber_window)
 
-    doc = _base_document(config, "real", len(seq), source)
-    doc["sequence"]["tail_log"] = [_num(u.log_value) for u in seq[-10:]]
+    doc = _base_document(config, "real", x.size, source)
+    doc["sequence"]["tail_log"] = x[-10:].tolist()
     doc["weights"] = {"spec": config.weights_spec, "sva": _sva_dict(sva)}
     doc["analysis"] = {
         "limit_estimate": _logreal_dict(gbar.limit),
         "gbar": _verdict_dict(gbar),
-        "means_tail_log": [_num(m.log_value) for m in means[-10:]],
+        "means_tail_log": means[-10:].tolist(),
         "tauber": _tauber_dict(tauber),
     }
 
-    rows = [
-        (n, repr(seq[n].log_value), repr(means[n].log_value)) for n in range(len(seq))
-    ]
+    rows = []
+    if config.fmt == "csv":
+        rows = zip(range(x.size), map(repr, x.tolist()), map(repr, means.tolist()))
     return RunResult(doc=doc, kind="real", rows=rows, header=("n", "log_u", "log_w"))
 
 
@@ -385,10 +404,12 @@ def run_ifn(config: RunConfig) -> RunResult:
         "tauber": _ifn_tauber_dict(tauber),
     }
 
-    rows = [
-        (n, repr(seq[n].mu), repr(seq[n].nu), repr(means[n].mu), repr(means[n].nu))
-        for n in range(len(seq))
-    ]
+    rows = []
+    if config.fmt == "csv":
+        rows = (
+            (n, repr(a.mu), repr(a.nu), repr(m.mu), repr(m.nu))
+            for n, (a, m) in enumerate(zip(seq, means))
+        )
     return RunResult(
         doc=doc, kind="ifn", rows=rows, header=("n", "mu", "nu", "mean_mu", "mean_nu")
     )
@@ -428,18 +449,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     kind = generators.generator_kind(args.generator)
     default = DEFAULT_N_MAX_REAL if kind == "real" else DEFAULT_N_MAX_IFN
     n_max = args.n_max if args.n_max is not None else default
-    seq = generators.generate(args.generator, n_max)
-    if args.out is None:
-        if kind == "real":
-            sys.stdout.write(generators.LOG_HEADER + "\n")
-            sys.stdout.writelines(f"{u.log_value!r}\n" for u in seq)
-        else:
-            sys.stdout.writelines(f"{a.mu!r},{a.nu!r}\n" for a in seq)
+    values = generators.generate_array(args.generator, n_max).tolist()
+    if kind == "real":
+        text = generators.real_sequence_text(values)
     else:
-        if kind == "real":
-            generators.write_real_sequence(args.out, seq)
-        else:
-            generators.write_ifn_sequence(args.out, seq)
+        text = generators.ifn_sequence_text(*values)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
     return 0
 
 

@@ -10,16 +10,22 @@ import math
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .mcore import LogReal
+import numpy as np
+
+from .mcore import LogReal, as_logs
 from .ifn import IFN
 
 __all__ = [
     "GeneratorError",
     "generate",
+    "generate_array",
     "generator_kind",
     "list_generators",
     "write_real_sequence",
     "read_real_sequence",
+    "read_real_logs",
+    "real_sequence_text",
+    "ifn_sequence_text",
     "write_ifn_sequence",
     "read_ifn_sequence",
 ]
@@ -31,47 +37,68 @@ class GeneratorError(ValueError):
     """Unknown generator id or invalid generator parameters."""
 
 
-def _ex1(n: int, params: dict) -> LogReal:
+# Each generator maps the index array n = 0..n_max to its values: the
+# logs for a real sequence, the (mu, nu) rows for an IFN one. Per-parity
+# constants are computed once with Python float arithmetic, and `linear`
+# keeps math.log, so every value equals the one the per-element formula
+# gives (np.log can differ from math.log in the last bit).
+
+
+def _alternate(n: np.ndarray, even, odd) -> np.ndarray:
+    return np.where(n % 2 == 0, even, odd)
+
+
+def _ex1(n: np.ndarray, params: dict) -> np.ndarray:
     # Alternating exponential blow-up exp(+-(n+1)), kept in log-domain.
-    return LogReal.from_log((n + 1.0) if n % 2 == 0 else -(n + 1.0))
+    v = n + 1.0
+    return _alternate(n, v, -v)
 
 
-def _ex2(n: int, params: dict) -> LogReal:
+def _ex2(n: np.ndarray, params: dict) -> np.ndarray:
     # 2 on even indices, 1/2 on odd ones.
-    return LogReal.from_log(math.log(2.0) if n % 2 == 0 else -math.log(2.0))
+    return _alternate(n, math.log(2.0), -math.log(2.0))
 
 
-def _constant(n: int, params: dict) -> LogReal:
+def _constant(n: np.ndarray, params: dict) -> np.ndarray:
     c = params.get("c", 1.0)
     if not c > 0:
         raise GeneratorError(f"constant generator needs c > 0, got {c}")
-    return LogReal.of(c)
+    return np.full(n.size, LogReal.of(c).log_value)
 
 
-def _exp_decay(n: int, params: dict) -> LogReal:
+def _exp_decay(n: np.ndarray, params: dict) -> np.ndarray:
     # exp(c / (n+1)) -> 1; the standard slowly-settling positive sequence.
     c = params.get("c", 1.0)
-    return LogReal.from_log(c / (n + 1.0))
+    return c / (n + 1.0)
 
 
-def _linear(n: int, params: dict) -> LogReal:
-    return LogReal.of(n + 1.0)
+def _linear(n: np.ndarray, params: dict) -> np.ndarray:
+    return np.fromiter(map(math.log, (n + 1.0).tolist()), np.float64, n.size)
 
 
-def _nonunique(n: int, params: dict) -> IFN:
+def _nonunique(n: np.ndarray, params: dict) -> np.ndarray:
     # Drifts up to (1/2, 1/3) along the constant-score line mu - nu = 1/6.
-    return IFN(0.5 - 1.0 / (n + 3.0), 1.0 / 3.0 - 1.0 / (n + 3.0))
+    d = 1.0 / (n + 3.0)
+    return np.stack([0.5 - d, 1.0 / 3.0 - d])
 
 
-def _ex3_ifn(n: int, params: dict) -> IFN:
+# ex3-ifn and ex4-ifn hop with the exponent e = (-1)^n + 2: 3 on even
+# indices, 1 on odd ones.
+
+
+def _ex3_ifn(n: np.ndarray, params: dict) -> np.ndarray:
     # Components hop between exponent 1 and 3 of the base pair (1/2, 1/3).
-    e = (-1.0) ** n + 2.0
-    return IFN(1.0 - 0.5**e, (1.0 / 3.0) ** e)
+    return np.stack([
+        _alternate(n, 1.0 - 0.5**3.0, 1.0 - 0.5**1.0),
+        _alternate(n, (1.0 / 3.0) ** 3.0, (1.0 / 3.0) ** 1.0),
+    ])
 
 
-def _ex4_ifn(n: int, params: dict) -> IFN:
-    e = (-1.0) ** n + 2.0
-    return IFN((1.0 / 9.0) ** e, 1.0 - 0.25**e)
+def _ex4_ifn(n: np.ndarray, params: dict) -> np.ndarray:
+    return np.stack([
+        _alternate(n, (1.0 / 9.0) ** 3.0, (1.0 / 9.0) ** 1.0),
+        _alternate(n, 1.0 - 0.25**3.0, 1.0 - 0.25**1.0),
+    ])
 
 
 _REGISTRY: dict[str, tuple[str, Callable, frozenset[str]]] = {
@@ -127,36 +154,74 @@ def generator_kind(spec: str) -> str:
     return _lookup(spec)[0]
 
 
-def generate(spec: str, n_max: int) -> list:
-    """Materialize a named sequence for indices 0..n_max inclusive."""
-    _, fn, params = _lookup(spec)
+def generate_array(spec: str, n_max: int) -> np.ndarray:
+    """Values of a named sequence for indices 0..n_max inclusive: the
+    float64 logs (shape (n_max+1,)) of a real sequence, or the mu and nu
+    rows (shape (2, n_max+1)) of an IFN one."""
+    kind, fn, params = _lookup(spec)
     if n_max < 0:
         raise GeneratorError(f"n_max must be nonnegative, got {n_max}")
-    return [fn(n, params) for n in range(n_max + 1)]
+    values = fn(np.arange(n_max + 1, dtype=np.int64), params)
+    return as_logs(values) if kind == "real" else values
 
 
-def write_real_sequence(path: str | Path, seq: Sequence[LogReal]) -> None:
+def generate(spec: str, n_max: int) -> list:
+    """Materialize a named sequence as LogReal or IFN objects."""
+    values = generate_array(spec, n_max)
+    if values.ndim == 1:
+        return [LogReal(v) for v in values.tolist()]
+    return [IFN(m, v) for m, v in zip(*values.tolist())]
+
+
+def real_sequence_text(logs: Sequence[float]) -> str:
+    """A real sequence file: a 'log:' header, then one log value per line."""
+    return "\n".join([LOG_HEADER, *map(repr, logs)]) + "\n"
+
+
+def ifn_sequence_text(mu: Sequence[float], nu: Sequence[float]) -> str:
+    """An IFN sequence file: one 'mu,nu' pair per line."""
+    return "\n".join(f"{m!r},{v!r}" for m, v in zip(mu, nu)) + "\n"
+
+
+def write_real_sequence(path: str | Path, seq: Sequence[LogReal] | np.ndarray) -> None:
     """One log value per line under a 'log:' header."""
-    lines = [LOG_HEADER]
-    lines.extend(repr(u.log_value) for u in seq)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(real_sequence_text(as_logs(seq).tolist()))
 
 
-def read_real_sequence(path: str | Path) -> list[LogReal]:
-    """Read either plain positive decimals or log-domain values."""
+def _parse_log(line: str) -> float:
+    x = float(line)
+    if not math.isfinite(x):
+        raise ValueError(f"log_value must be finite, got {x}")
+    return x
+
+
+def _parse_plain(line: str) -> float:
+    value = float(line)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"need a finite positive real, got {value}")
+    return math.log(value)
+
+
+def read_real_logs(path: str | Path) -> np.ndarray:
+    """Read either plain positive decimals or log-domain values into a
+    float64 log array."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError(f"sequence file {path} is empty")
     if lines[0] == LOG_HEADER:
-        return [LogReal.from_log(float(ln)) for ln in lines[1:]]
-    return [LogReal.of(float(ln)) for ln in lines]
+        return np.fromiter(map(_parse_log, lines[1:]), np.float64, len(lines) - 1)
+    return np.fromiter(map(_parse_plain, lines), np.float64, len(lines))
+
+
+def read_real_sequence(path: str | Path) -> list[LogReal]:
+    """read_real_logs as LogReal objects."""
+    return [LogReal(x) for x in read_real_logs(path).tolist()]
 
 
 def write_ifn_sequence(path: str | Path, seq: Sequence[IFN]) -> None:
     """One 'mu,nu' pair per line."""
-    lines = [f"{a.mu!r},{a.nu!r}" for a in seq]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(ifn_sequence_text([a.mu for a in seq], [a.nu for a in seq]))
 
 
 def read_ifn_sequence(path: str | Path) -> list[IFN]:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict, log_array, star_converges_to
+from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs, star_converges_to
 from .weights import WeightSequence, lambda_index
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "weighted_geo_means",
     "transform_log_values",
     "gbar_limit_estimate",
+    "gbar_verdict",
     "decomposition_identity_check",
 ]
 
@@ -64,50 +65,69 @@ class GeoMeanState:
         return LogReal(self.L / self.P)
 
 
+def _weighted_prefixes(
+    log_u: np.ndarray, w: WeightSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """S_n = sum_{k<=n} p_k log u_k and P_n, in extended precision; the
+    log-means are S / P rounded to float64."""
+    if len(w) < log_u.size:
+        raise ValueError(
+            f"weights of length {len(w)} are shorter than the sequence ({log_u.size})"
+        )
+    S = np.cumsum(w.p[: log_u.size].astype(np.longdouble) * log_u.astype(np.longdouble))
+    return S, w.P[: log_u.size].astype(np.longdouble)
+
+
 def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
     """log w_n for every prefix, from raw log values (array-level view)."""
     log_u = np.asarray(log_u, dtype=np.float64)
     if log_u.size == 0:
         raise ValueError("cannot transform an empty sequence")
-    if len(w) < log_u.size:
-        raise ValueError(
-            f"weights of length {len(w)} are shorter than the sequence ({log_u.size})"
-        )
-    p = w.p[: log_u.size].astype(np.longdouble)
-    prefix = np.cumsum(p * log_u.astype(np.longdouble))
-    return (prefix / w.P[: log_u.size].astype(np.longdouble)).astype(np.float64)
+    S, P = _weighted_prefixes(log_u, w)
+    return (S / P).astype(np.float64)
 
 
-def weighted_geo_means(u: Sequence[LogReal], w: WeightSequence) -> list[LogReal]:
+def weighted_geo_means(
+    u: Sequence[LogReal] | np.ndarray, w: WeightSequence
+) -> list[LogReal]:
     """The mean sequence (w_n); indices with p_k = 0 contribute nothing."""
-    logs = transform_log_values(log_array(u), w)
-    return [LogReal(float(lv)) for lv in logs]
+    logs = transform_log_values(as_logs(u), w)
+    return [LogReal(lv) for lv in logs.tolist()]
 
 
-def gbar_limit_estimate(
-    u: Sequence[LogReal],
-    w: WeightSequence,
+def gbar_verdict(
+    log_means: np.ndarray,
     tol: MTolerance | None = None,
     window: TailWindow | None = None,
 ) -> Verdict:
-    """Estimate the transform's limit from the window and test stability.
+    """Stability verdict on an array of log-means (transform_log_values).
 
     The estimate is the mean at the window end; the verdict is true iff
     every mean in the window stays within `tol` of it (multiplicatively).
     """
     if tol is None:
         tol = MTolerance.default()
-    means = weighted_geo_means(u, w)
     if window is None:
-        window = TailWindow.last_half(len(means))
-    window.check_fits(len(means))
-    estimate = means[window.end_index]
-    passed = star_converges_to(means, estimate, tol, window)
+        window = TailWindow.last_half(len(log_means))
+    window.check_fits(len(log_means))
+    estimate = LogReal(float(log_means[window.end_index]))
+    passed = star_converges_to(log_means, estimate, tol, window)
     return Verdict(passed=passed, limit=estimate, window=window, tolerance=tol.value)
 
 
+def gbar_limit_estimate(
+    u: Sequence[LogReal] | np.ndarray,
+    w: WeightSequence,
+    tol: MTolerance | None = None,
+    window: TailWindow | None = None,
+) -> Verdict:
+    """Estimate the transform's limit from the window and test stability
+    (see gbar_verdict)."""
+    return gbar_verdict(transform_log_values(as_logs(u), w), tol, window)
+
+
 def decomposition_identity_check(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     lam: float,
     n: int,
@@ -131,7 +151,7 @@ def decomposition_identity_check(
             f"identity at (lambda={lam}, n={n}) needs index {hi}, "
             f"sequence has length {len(u)}"
         )
-    logs = log_array(u[: hi + 1])
+    logs = as_logs(u[: hi + 1])
     means = transform_log_values(logs, w)
     P = w.P
     p = w.p

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcore import TailWindow, Verdict, from_log_array
+from .mcore import TailWindow, Verdict
 from .weights import LambdaGrid, WeightSequence
 from .gmean import transform_log_values
 from .tauber import ReportThresholds, TauberReport, recoverability_report
@@ -555,8 +555,8 @@ def ifn_tauber_report(
     else:
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
 
-    rep1 = recoverability_report(from_log_array(first), w, grid, window, thresholds)
-    rep2 = recoverability_report(from_log_array(second), w, grid, window, thresholds)
+    rep1 = recoverability_report(first, w, grid, window, thresholds)
+    rep2 = recoverability_report(second, w, grid, window, thresholds)
     return IFNTauberReport(
         mode=mode,
         component_labels=labels,

@@ -25,6 +25,7 @@ __all__ = [
     "is_mstar_bounded",
     "log_array",
     "from_log_array",
+    "as_logs",
 ]
 
 
@@ -175,7 +176,9 @@ def mdelta(seq: Sequence[LogReal], n: int) -> LogReal:
     return seq[n] / seq[n - 1]
 
 
-def _resolve_window(seq: Sequence[LogReal], window: TailWindow | None) -> TailWindow:
+def _resolve_window(
+    seq: Sequence[LogReal] | np.ndarray, window: TailWindow | None
+) -> TailWindow:
     if window is None:
         window = TailWindow.last_half(len(seq))
     window.check_fits(len(seq))
@@ -183,7 +186,7 @@ def _resolve_window(seq: Sequence[LogReal], window: TailWindow | None) -> TailWi
 
 
 def star_converges_to(
-    seq: Sequence[LogReal],
+    seq: Sequence[LogReal] | np.ndarray,
     a: LogReal,
     tol: MTolerance,
     window: TailWindow | None = None,
@@ -193,10 +196,10 @@ def star_converges_to(
     True iff |u_n / a|* < tol for every n in the window. This is finite
     evidence about the window, not a decision about the infinite tail.
     """
-    window = _resolve_window(seq, window)
-    log_tol = tol.log
-    log_a = a.log_value
-    return all(abs(seq[n].log_value - log_a) < log_tol for n in window.indices())
+    x = as_logs(seq)
+    window = _resolve_window(x, window)
+    block = x[window.start_index : window.end_index + 1]
+    return bool(np.all(np.abs(block - a.log_value) < tol.log))
 
 
 def is_mstar_bounded(
@@ -220,3 +223,23 @@ def log_array(seq: Iterable[LogReal]) -> np.ndarray:
 
 def from_log_array(logs: np.ndarray) -> list[LogReal]:
     return [LogReal(float(lv)) for lv in logs]
+
+
+def as_logs(u: Sequence[LogReal] | np.ndarray) -> np.ndarray:
+    """The float64 log array of a real sequence, the one form the bulk
+    computations work on.
+
+    A sequence of LogReal is unboxed with log_array. An ndarray is taken
+    to hold the logs already; it must be 1-d and finite, the invariant
+    LogReal enforces element by element.
+    """
+    if not isinstance(u, np.ndarray):
+        return log_array(u)
+    x = np.asarray(u, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"a log array must be 1-d, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(f"log values must be finite, got {float(x[n])} at index {n}")
+    return x

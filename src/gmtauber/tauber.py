@@ -14,15 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcore import (
-    LogReal,
-    MTolerance,
-    TailWindow,
-    Verdict,
-    log_array,
-)
+from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
 from .weights import LambdaGrid, WeightSequence
-from .gmean import gbar_limit_estimate
+from .gmean import _weighted_prefixes, gbar_verdict
 
 __all__ = [
     "TauberReport",
@@ -83,7 +77,7 @@ def _range_reduce(
 
 
 def slow_oscillation_curve(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     grid: LambdaGrid,
     window: TailWindow,
     backward: bool = False,
@@ -98,14 +92,14 @@ def slow_oscillation_curve(
     blocks cover (see _range_reduce): O(S log B + W) per lambda for a
     span of S indices, blocks of at most B and a window of W.
     """
-    window.check_fits(len(u))
-    x = log_array(u)
+    x = as_logs(u)
+    window.check_fits(x.size)
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     branch = grid.below_one if backward else grid.above_one
     curve: dict[float, float] = {}
     for lam in branch:
         if not backward:
-            _check_lambda_bounds(lam, window, len(u))
+            _check_lambda_bounds(lam, window, x.size)
         lns = np.floor(lam * ns).astype(np.int64)
         lo, hi = (lns + 1, ns) if backward else (ns + 1, lns)
         keep = hi >= lo
@@ -126,7 +120,7 @@ def slow_oscillation_curve(
 
 
 def slow_oscillation_estimate(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
     backward: bool = False,
@@ -136,11 +130,12 @@ def slow_oscillation_estimate(
     A value of 1 means the window evidence is consistent with the
     in-block ratios flattening out as lambda approaches 1.
     """
+    x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
     if window is None:
-        window = TailWindow.last_half(len(u))
-    curve = slow_oscillation_curve(u, grid, window, backward=backward)
+        window = TailWindow.last_half(x.size)
+    curve = slow_oscillation_curve(x, grid, window, backward=backward)
     if not curve:
         raise ValueError(
             "every lambda in the grid had an empty block range for this window"
@@ -148,20 +143,8 @@ def slow_oscillation_estimate(
     return min(curve.values())
 
 
-def _weighted_prefixes(
-    u: Sequence[LogReal], w: WeightSequence
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = log_array(u)
-    if len(w) < x.size:
-        raise ValueError(
-            f"weights of length {len(w)} are shorter than the sequence ({x.size})"
-        )
-    S = np.cumsum(w.p[: x.size].astype(np.longdouble) * x.astype(np.longdouble))
-    return x, S, w.P[: x.size].astype(np.longdouble)
-
-
 def tauber_condition_curve(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     grid: LambdaGrid,
     window: TailWindow,
@@ -177,14 +160,26 @@ def tauber_condition_curve(
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    window.check_fits(len(u))
-    x, S, P = _weighted_prefixes(u, w)
+    x = as_logs(u)
+    window.check_fits(x.size)
+    S, P = _weighted_prefixes(x, w)
+    return _condition_curve(x, S, P, grid, window, side)
+
+
+def _condition_curve(
+    x: np.ndarray,
+    S: np.ndarray,
+    P: np.ndarray,
+    grid: LambdaGrid,
+    window: TailWindow,
+    side: int,
+) -> dict[float, float]:
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     branch = grid.above_one if side == 1 else grid.below_one
     curve: dict[float, float] = {}
     for lam in branch:
         if side == 1:
-            _check_lambda_bounds(lam, window, len(u))
+            _check_lambda_bounds(lam, window, x.size)
         lns = np.floor(lam * ns).astype(np.int64)
         if side == 1:
             dP = P[lns] - P[ns]
@@ -209,35 +204,37 @@ def _condition_estimate(curve: dict[float, float]) -> float:
 
 
 def tauber_con1_estimate(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
 ) -> float:
     """Forward recovery condition estimate (lambda > 1 branch)."""
+    x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
     if window is None:
-        window = TailWindow.last_half(len(u))
-    return _condition_estimate(tauber_condition_curve(u, w, grid, window, side=1))
+        window = TailWindow.last_half(x.size)
+    return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=1))
 
 
 def tauber_con2_estimate(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
 ) -> float:
     """Backward recovery condition estimate (lambda < 1 branch)."""
+    x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
     if window is None:
-        window = TailWindow.last_half(len(u))
-    return _condition_estimate(tauber_condition_curve(u, w, grid, window, side=2))
+        window = TailWindow.last_half(x.size)
+    return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=2))
 
 
 def landau_estimates(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     window: TailWindow,
     vanish_tol: MTolerance | None = None,
 ) -> tuple[float, bool]:
@@ -249,10 +246,10 @@ def landau_estimates(
     """
     if window.start_index < 1:
         raise ValueError("window must start at index >= 1")
-    window.check_fits(len(u))
+    x = as_logs(u)
+    window.check_fits(x.size)
     if vanish_tol is None:
         vanish_tol = MTolerance.default()
-    x = log_array(u)
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     aux = ns * (x[ns] - x[ns - 1])
     worst = float(np.max(np.abs(aux)))
@@ -310,7 +307,7 @@ def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
 
 
 def recoverability_report(
-    u: Sequence[LogReal],
+    u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
@@ -326,26 +323,31 @@ def recoverability_report(
     When `window` is omitted it defaults to the last half of the index
     range usable under the grid (all lambda_n in bounds); an explicit
     window is used as given and must satisfy the bounds itself.
+
+    The prefix sums S and P are built once and shared by the mean
+    verdict and both condition curves.
     """
+    x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
     if thresholds is None:
         thresholds = ReportThresholds()
     if window is None:
-        window = default_report_window(len(u), grid)
+        window = default_report_window(x.size, grid)
 
-    gbar = gbar_limit_estimate(u, w, thresholds.gbar_tol, window)
+    S, P = _weighted_prefixes(x, w)
+    gbar = gbar_verdict((S / P).astype(np.float64), thresholds.gbar_tol, window)
 
-    con1_curve = tauber_condition_curve(u, w, grid, window, side=1)
-    con2_curve = tauber_condition_curve(u, w, grid, window, side=2)
-    so_fwd = slow_oscillation_curve(u, grid, window, backward=False)
-    so_back = slow_oscillation_curve(u, grid, window, backward=True)
+    con1_curve = _condition_curve(x, S, P, grid, window, side=1)
+    con2_curve = _condition_curve(x, S, P, grid, window, side=2)
+    so_fwd = slow_oscillation_curve(x, grid, window, backward=False)
+    so_back = slow_oscillation_curve(x, grid, window, backward=True)
     con1 = min(con1_curve.values()) if con1_curve else math.inf
     con2 = min(con2_curve.values()) if con2_curve else math.inf
 
     landau_window = TailWindow(max(1, window.start_index), window.end_index)
     landau_bound, landau_vanish = landau_estimates(
-        u, landau_window, thresholds.vanish_tol
+        x, landau_window, thresholds.vanish_tol
     )
 
     recovery = bool(gbar.passed and (con1 <= thresholds.theta or con2 <= thresholds.theta))

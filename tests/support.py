@@ -1,8 +1,11 @@
 """Shared test helpers: definition-level IFN mean folds, generators for
-sequences those folds can evaluate without float underflow, and the
-per-n slow-oscillation loop kept as the oracle for the vectorized one."""
+sequences those folds can evaluate without float underflow, the per-n
+slow-oscillation loop kept as the oracle for the vectorized one, and the
+per-element sequence generators and per-line real-file reader kept as
+oracles for the array ones."""
 
 import math
+from pathlib import Path
 from typing import Sequence
 
 from gmtauber.ifn import (
@@ -14,6 +17,7 @@ from gmtauber.ifn import (
     power,
     scalar_mul,
 )
+from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
 from gmtauber.mcore import LogReal, TailWindow, log_array
 from gmtauber.tauber import _check_lambda_bounds, _safe_exp
 from gmtauber.weights import LambdaGrid
@@ -84,3 +88,80 @@ def slow_oscillation_curve_oracle(
         if worst > -math.inf:
             curve[lam] = _safe_exp(worst)
     return curve
+
+
+# Per-element generators: the straightforward form of the vectorized
+# ones in gmtauber.generators, one object per index.
+
+
+def _ex1(n: int, params: dict) -> LogReal:
+    # Alternating exponential blow-up exp(+-(n+1)), kept in log-domain.
+    return LogReal.from_log((n + 1.0) if n % 2 == 0 else -(n + 1.0))
+
+
+def _ex2(n: int, params: dict) -> LogReal:
+    # 2 on even indices, 1/2 on odd ones.
+    return LogReal.from_log(math.log(2.0) if n % 2 == 0 else -math.log(2.0))
+
+
+def _constant(n: int, params: dict) -> LogReal:
+    c = params.get("c", 1.0)
+    if not c > 0:
+        raise GeneratorError(f"constant generator needs c > 0, got {c}")
+    return LogReal.of(c)
+
+
+def _exp_decay(n: int, params: dict) -> LogReal:
+    # exp(c / (n+1)) -> 1; the standard slowly-settling positive sequence.
+    c = params.get("c", 1.0)
+    return LogReal.from_log(c / (n + 1.0))
+
+
+def _linear(n: int, params: dict) -> LogReal:
+    return LogReal.of(n + 1.0)
+
+
+def _nonunique(n: int, params: dict) -> IFN:
+    # Drifts up to (1/2, 1/3) along the constant-score line mu - nu = 1/6.
+    return IFN(0.5 - 1.0 / (n + 3.0), 1.0 / 3.0 - 1.0 / (n + 3.0))
+
+
+def _ex3_ifn(n: int, params: dict) -> IFN:
+    # Components hop between exponent 1 and 3 of the base pair (1/2, 1/3).
+    e = (-1.0) ** n + 2.0
+    return IFN(1.0 - 0.5**e, (1.0 / 3.0) ** e)
+
+
+def _ex4_ifn(n: int, params: dict) -> IFN:
+    e = (-1.0) ** n + 2.0
+    return IFN((1.0 / 9.0) ** e, 1.0 - 0.25**e)
+
+
+ORACLE_GENERATORS = {
+    "ex1": _ex1,
+    "ex2": _ex2,
+    "constant": _constant,
+    "exp-decay": _exp_decay,
+    "linear": _linear,
+    "nonunique": _nonunique,
+    "ex3-ifn": _ex3_ifn,
+    "ex4-ifn": _ex4_ifn,
+}
+
+
+def generate_oracle(spec: str, n_max: int) -> list:
+    """gmtauber.generators.generate, one per-element call per index."""
+    name, params = _parse_spec(spec)
+    fn = ORACLE_GENERATORS[name]
+    return [fn(n, params) for n in range(n_max + 1)]
+
+
+def read_real_sequence_oracle(path: str | Path) -> list[LogReal]:
+    """Per-line form of gmtauber.generators.read_real_logs."""
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError(f"sequence file {path} is empty")
+    if lines[0] == LOG_HEADER:
+        return [LogReal.from_log(float(ln)) for ln in lines[1:]]
+    return [LogReal.of(float(ln)) for ln in lines]

@@ -1,0 +1,105 @@
+"""The real pipeline on float64 log arrays: every public entry point of
+gmean and tauber gives the same result for an ndarray of logs as for the
+same values as LogReal objects, and `gmt analyze` allocates nothing per
+index."""
+
+import io
+import tracemalloc
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from gmtauber.cli import main
+from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
+from gmtauber.generators import generate_array
+from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
+from gmtauber.tauber import (
+    default_report_window,
+    landau_estimates,
+    recoverability_report,
+    slow_oscillation_curve,
+    tauber_condition_curve,
+)
+from gmtauber.weights import LambdaGrid, WeightSequence
+
+
+def _random_walk(n: int) -> np.ndarray:
+    return np.cumsum(np.random.default_rng(3).normal(0.0, 0.1, n))
+
+
+CASES = {
+    "ex1-harmonic": (generate_array("ex1", 4000), WeightSequence.harmonic(4001)),
+    "exp-decay-ones": (generate_array("exp-decay:c=2", 3000), WeightSequence.ones(3001)),
+    "walk-alternating": (_random_walk(2500), WeightSequence.alternating(2500, 2.0, 1.0)),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    x, w = CASES[request.param]
+    grid = LambdaGrid.default()
+    return x, [LogReal(v) for v in x.tolist()], w, grid, default_report_window(x.size, grid)
+
+
+class TestArrayEqualsObjects:
+    def test_gbar_limit_estimate(self, case):
+        x, objs, w, _, window = case
+        tol = MTolerance(1.01)
+        verdict = gbar_limit_estimate(x, w, tol, window)
+        assert verdict == gbar_limit_estimate(objs, w, tol, window)
+        # The per-element form of the same test on the boxed means.
+        means = weighted_geo_means(objs, w)
+        assert verdict.limit == means[window.end_index]
+        assert verdict.passed == star_converges_to(means, verdict.limit, tol, window)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_slow_oscillation_curve(self, case, backward):
+        x, objs, _, grid, window = case
+        curve = slow_oscillation_curve(x, grid, window, backward=backward)
+        assert curve and curve == slow_oscillation_curve(objs, grid, window, backward=backward)
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_tauber_condition_curve(self, case, side):
+        x, objs, w, grid, window = case
+        curve = tauber_condition_curve(x, w, grid, window, side)
+        assert curve and curve == tauber_condition_curve(objs, w, grid, window, side)
+
+    def test_landau_estimates(self, case):
+        x, objs, _, _, window = case
+        assert landau_estimates(x, window) == landau_estimates(objs, window)
+
+    def test_recoverability_report(self, case):
+        x, objs, w, grid, window = case
+        report = recoverability_report(x, w, grid, window)
+        assert report == recoverability_report(objs, w, grid, window)
+        # The shared prefix sums give what the standalone entry points give.
+        assert report.gbar_verdict == gbar_limit_estimate(
+            x, w, MTolerance.default(), window
+        )
+        assert report.curves["con1"] == tauber_condition_curve(x, w, grid, window, 1)
+        assert report.curves["con2"] == tauber_condition_curve(x, w, grid, window, 2)
+
+    def test_non_finite_array_rejected(self):
+        x = np.array([0.0, 1.0, np.nan, 0.5])
+        with pytest.raises(ValueError):
+            recoverability_report(x, WeightSequence.ones(4), LambdaGrid.of([0.5, 1.5]),
+                                  TailWindow(1, 2))
+
+
+def test_analyze_allocates_nothing_per_index():
+    # 200001 indices: one boxed object or list slot per index would
+    # exceed the bound by itself (a LogReal and its float take ~100 bytes).
+    argv = [
+        "analyze", "--generator", "ex1", "--weights", "harmonic",
+        "--n-max", "200000", "--window", "99000:99255", "--no-timestamp",
+    ]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"

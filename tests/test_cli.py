@@ -273,6 +273,26 @@ class TestConfigErrors:
     def test_missing_input_file(self):
         assert run_cli("analyze", "--in", "/nonexistent/seq.txt") == 2
 
+    def test_window_without_an_index_past_zero(self, capsys):
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "10", "--window", "0:0"
+        ) == 2
+        err = capsys.readouterr().err
+        assert "window 0:0" in err and "n >= 1" in err and "Landau" in err
+
+    def test_window_truncated_to_index_zero(self, capsys):
+        # length 2 under lambda max 2: the usable range is [0, 0]
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "1", "--window", "0:1"
+        ) == 2
+        assert "n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, spec", [("analyze", "ex2"), ("ifn-analyze", "ex3-ifn")])
+    def test_sequence_too_short_for_lambda_grid(self, capsys, command, spec):
+        assert run_cli(command, "--generator", spec, "--n-max", "1") == 2
+        err = capsys.readouterr().err
+        assert "too short" in err and "--n-max" in err and "--lambda-grid" in err
+
     @pytest.mark.parametrize(
         "command, text",
         [

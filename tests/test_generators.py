@@ -1,15 +1,23 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
 from gmtauber.generators import (
     GeneratorError,
     generate,
+    generate_array,
     generator_kind,
     list_generators,
     read_ifn_sequence,
+    read_real_logs,
     read_real_sequence,
     write_ifn_sequence,
     write_real_sequence,
 )
+
+from support import generate_oracle, read_real_sequence_oracle
 
 
 class TestGenerate:
@@ -121,3 +129,104 @@ class TestSequenceFiles:
             read_real_sequence(path)
         with pytest.raises(ValueError):
             read_ifn_sequence(path)
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns, so that equality also tells 0.0 from -0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+ORACLE_SPECS = sorted(set(list_generators()) | {"constant:c=3", "exp-decay:c=2"})
+
+
+class TestVectorizedMatchesPerElement:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 17, 10**5])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_exact_values(self, spec, n_max):
+        oracle = generate_oracle(spec, n_max)
+        values = generate_array(spec, n_max)
+        if generator_kind(spec) == "real":
+            assert values.shape == (n_max + 1,)
+            np.testing.assert_array_equal(
+                _bits(values), _bits([u.log_value for u in oracle])
+            )
+        else:
+            assert values.shape == (2, n_max + 1)
+            np.testing.assert_array_equal(_bits(values[0]), _bits([a.mu for a in oracle]))
+            np.testing.assert_array_equal(_bits(values[1]), _bits([a.nu for a in oracle]))
+        if n_max <= 17:
+            assert generate(spec, n_max) == oracle
+
+    @pytest.mark.parametrize("spec", ["exp-decay:c=inf", "exp-decay:c=nan", "constant:c=inf"])
+    def test_non_finite_logs_rejected_like_per_element(self, spec):
+        with pytest.raises(ValueError):
+            generate_oracle(spec, 3)
+        with pytest.raises(ValueError):
+            generate_array(spec, 3)
+
+
+def _oracle_outcome(path):
+    try:
+        return [u.log_value for u in read_real_sequence_oracle(path)]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _array_outcome(path):
+    try:
+        logs = read_real_logs(path)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    assert logs.dtype == np.float64
+    return logs.tolist()
+
+
+class TestArrayReaderMatchesPerLine:
+    def test_plain_decimals(self, tmp_path):
+        rng = random.Random(5)
+        values = [rng.lognormvariate(0.0, 30.0) for _ in range(3000)]
+        text = [f"{v!r}" for v in values] + ["1e-300", "  2.5  ", "", "7", "1.7976931348623157e308"]
+        path = tmp_path / "plain.txt"
+        path.write_text("\n".join(text) + "\n")
+        expected = [u.log_value for u in read_real_sequence_oracle(path)]
+        np.testing.assert_array_equal(_bits(read_real_logs(path)), _bits(expected))
+        assert read_real_sequence(path) == read_real_sequence_oracle(path)
+
+    def test_log_domain(self, tmp_path):
+        rng = random.Random(6)
+        values = [rng.uniform(-800.0, 800.0) for _ in range(3000)] + [0.0, -0.0]
+        path = tmp_path / "log.txt"
+        path.write_text("log:\n" + "\n".join(f"{v!r}" for v in values) + "\n\n")
+        expected = [u.log_value for u in read_real_sequence_oracle(path)]
+        np.testing.assert_array_equal(_bits(read_real_logs(path)), _bits(expected))
+        assert read_real_sequence(path) == read_real_sequence_oracle(path)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_text("log:\n")
+        assert read_real_logs(path).size == 0
+        assert read_real_sequence(path) == read_real_sequence_oracle(path) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.0\nabc\n",
+            "1.0\nnan\n",
+            "1.0\ninf\n",
+            "1.0\n0\n",
+            "1.0\n-0.0\n",
+            "1.0\n-2.5\n",
+            "1.0\n-1\nabc\n",
+            "log:\n0.1\nabc\n",
+            "log:\n0.1\nnan\n",
+            "log:\n0.1\n-inf\n",
+            "log:\n0.1\ninf\nabc\n",
+            "\n\n",
+        ],
+    )
+    def test_same_rejections(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        expected = _oracle_outcome(path)
+        assert expected[0] == "ValueError"
+        assert _array_outcome(path) == expected

@@ -8,6 +8,7 @@ from gmtauber.mcore import (
     LogReal,
     MTolerance,
     TailWindow,
+    as_logs,
     is_mstar_bounded,
     mabs,
     mdelta,
@@ -219,3 +220,25 @@ class TestEquivalenceWithOrdinaryConvergence:
                 abs(seq[n].value - a) < 0.005 * a for n in window.indices()
             )
             assert star == plain == converges
+
+
+class TestAsLogs:
+    def test_logreal_sequence_is_unboxed(self):
+        x = as_logs([LogReal(1.5), LogReal(-2.0)])
+        assert x.dtype == np.float64
+        assert x.tolist() == [1.5, -2.0]
+
+    def test_array_passes_through_as_float64(self):
+        x = np.array([0.25, -3.0])
+        assert as_logs(x) is x
+        ints = as_logs(np.array([1, 2, 3]))
+        assert ints.dtype == np.float64 and ints.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite.*index 2"):
+            as_logs(np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            as_logs(np.zeros((3, 2)))

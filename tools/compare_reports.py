@@ -1,0 +1,157 @@
+"""Check that two source trees of gmtauber write byte-identical outputs.
+
+    python tools/compare_reports.py BASE_SRC NEW_SRC [--bench-seed N ...]
+
+BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
+list of small `gmt` commands (every generator through `generate` and
+`analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
+file, both IFN modes and `--format csv`) runs once under each tree in
+the same scratch directory, with `--no-timestamp` wherever a report is
+written. The exit code, stdout and every output file must match byte for
+byte. Each `--bench-seed` adds the three benchmark workloads of
+`perfbench/workloads.py` at full size for that seed.
+
+Exit status: 0 when everything matches, 1 naming the first command and
+the byte offset that differ, 2 on a usage error.
+"""
+
+import argparse
+import os
+import random
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+REAL_GENERATORS = ("ex1", "ex2", "constant:c=3", "exp-decay:c=2", "linear")
+IFN_GENERATORS = ("nonunique", "ex3-ifn", "ex4-ifn")
+ANALYZE_WEIGHTS = {
+    "ex1": "harmonic",
+    "ex2": "alternating:2,1",
+    "constant:c=3": "ones",
+    "exp-decay:c=2": "ones",
+    "linear": "harmonic",
+}
+NO_TS = "--no-timestamp"
+
+
+def _inputs(workdir: Path) -> None:
+    """Seeded sequence files shared by both trees."""
+    rng = random.Random(20240501)
+    logs = [rng.uniform(-3.0, 3.0) / (1 + n) ** 0.5 for n in range(2000)]
+    (workdir / "seq_log.txt").write_text("log:\n" + "".join(f"{v!r}\n" for v in logs))
+    plain = [rng.uniform(0.5, 2.0) for _ in range(1500)]
+    (workdir / "seq_plain.txt").write_text("".join(f"{v!r}\n" for v in plain))
+    pairs = []
+    for n in range(1200):
+        mu = 0.2 + 0.05 * rng.random()
+        nu = 0.5 + 0.05 * rng.random()
+        pairs.append(f"{mu!r},{nu!r}\n")
+    (workdir / "seq_ifn.txt").write_text("".join(pairs))
+
+
+def small_cases() -> list[tuple[list[str], list[str]]]:
+    """(argv, output files relative to the scratch directory)."""
+    cases = []
+    for g in REAL_GENERATORS + IFN_GENERATORS:
+        cases.append((["generate", "--generator", g, "--n-max", "300"], []))
+    cases.append((["generate", "--generator", "ex1", "--n-max", "50", "--out", "gen.txt"], ["gen.txt"]))
+    for g in REAL_GENERATORS:
+        cases.append((
+            ["analyze", "--generator", g, "--n-max", "3000",
+             "--weights", ANALYZE_WEIGHTS[g], NO_TS],
+            [],
+        ))
+    cases += [
+        (["analyze", "--generator", "ex1", "--weights", "harmonic", "--n-max", "5000",
+          "--window", "2000:2255", NO_TS], []),
+        (["analyze", "--generator", "ex2", "--n-max", "1000", "--window", "200:800", NO_TS], []),
+        (["analyze", "--in", "seq_log.txt", "--weights", "harmonic", NO_TS], []),
+        (["analyze", "--in", "seq_plain.txt", "--tol", "1.5", NO_TS], []),
+        (["analyze", "--generator", "exp-decay:c=2", "--n-max", "800", "--format", "csv",
+          "--out", "r.csv", NO_TS], ["r.csv", "r.csv.json"]),
+        (["analyze", "--in", "seq_log.txt", "--format", "json", "--out", "r.json", NO_TS],
+         ["r.json"]),
+        (["ifn-analyze", "--generator", "ex3-ifn", "--n-max", "600", NO_TS], []),
+        (["ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
+          "--n-max", "600", "--mode", "otimes", NO_TS], []),
+        (["ifn-analyze", "--in", "seq_ifn.txt", "--mode", "oplus", "--lambda-grid",
+          "0.99,1.01", NO_TS], []),
+        (["ifn-analyze", "--in", "seq_ifn.txt", "--mode", "otimes", "--format", "csv",
+          "--out", "i.csv", NO_TS], ["i.csv", "i.csv.json"]),
+    ]
+    return cases
+
+
+def bench_cases(seed: int, workdir: Path) -> list[tuple[list[str], list[str]]]:
+    """The benchmark workloads at full size, with inputs under workdir."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    cases = []
+    for name in workloads.WORKLOADS:
+        case = workloads.prepare(name, seed, "full", workdir)
+        cases.append((case.argv + [NO_TS], [str(p) for p in case.outputs()]))
+    return cases
+
+
+def run(src: Path, argv: list[str], outputs: list[str], workdir: Path) -> list[tuple[str, bytes]]:
+    """Artifacts of one command under one tree; output files are removed."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmtauber", *argv],
+        cwd=workdir, env=env, capture_output=True, check=False,
+    )
+    artifacts = [("exit code", str(proc.returncode).encode()), ("stdout", proc.stdout)]
+    for name in outputs:
+        path = workdir / name
+        artifacts.append((name, path.read_bytes() if path.exists() else b"<missing>"))
+        path.unlink(missing_ok=True)
+    return artifacts
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--bench-seed", type=int, action="append", default=[])
+    args = parser.parse_args()
+    trees = [args.base_src.resolve(), args.new_src.resolve()]
+    for src in trees:
+        if not (src / "gmtauber" / "__init__.py").is_file():
+            print(f"error: {src} has no gmtauber package", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
+        workdir = Path(tmp)
+        _inputs(workdir)
+        cases = small_cases()
+        for seed in args.bench_seed:
+            cases += bench_cases(seed, workdir)
+        for argv, outputs in cases:
+            base, new = (run(src, argv, outputs, workdir) for src in trees)
+            for (what, a), (_, b) in zip(base, new):
+                if a != b:
+                    print(
+                        f"DIFFER: gmt {shlex.join(argv)}\n"
+                        f"  {what} differs at byte {first_difference(a, b)} "
+                        f"(base {len(a)} bytes, new {len(b)} bytes)"
+                    )
+                    return 1
+            print(f"same: gmt {shlex.join(argv)}")
+    print(f"all {len(cases)} commands byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
