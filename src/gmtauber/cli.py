@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -30,12 +29,12 @@ from .tauber import (
 )
 from .ifn import (
     IFN,
+    IFNRows,
     IFNTauberReport,
     ifn_tauber_report,
     ifwa_means,
     ifwg_means,
-    np_oplus_verdict,
-    gp_otimes_verdict,
+    mean_verdict,
     oplus_convergence_check,
     otimes_convergence_check,
 )
@@ -46,6 +45,7 @@ SCHEMA_VERSION = 1
 DEFAULT_N_MAX_REAL = 10_000
 DEFAULT_N_MAX_IFN = 1_000
 ENV_FORMAT = "GMT_DEFAULT_FORMAT"
+CSV_CHUNK_ROWS = 1 << 13
 
 
 class ConfigError(Exception):
@@ -253,8 +253,10 @@ def build_weights(spec: str, length: int) -> WeightSequence:
     )
 
 
-def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list | np.ndarray, str]:
-    """A real sequence as its float64 log array, an IFN one as IFN objects."""
+def _load_sequence(
+    config: RunConfig, expect_kind: str
+) -> tuple[np.ndarray | IFNRows, str]:
+    """A real sequence as its float64 log array, an IFN one as IFNRows."""
     if config.generator is not None:
         kind = generators.generator_kind(config.generator)
         if kind != expect_kind:
@@ -266,7 +268,8 @@ def _load_sequence(config: RunConfig, expect_kind: str) -> tuple[list | np.ndarr
         n_max = config.n_max if config.n_max is not None else default
         if kind == "real":
             return generators.generate_array(config.generator, n_max), config.generator
-        return generators.generate(config.generator, n_max), config.generator
+        rows = generators.generate_array(config.generator, n_max)
+        return IFNRows(rows), config.generator
     if config.n_max is not None:
         raise ConfigError("--n-max applies to generated sequences, not --in files")
     path = config.input_path
@@ -336,7 +339,7 @@ def _windows_for(
 class RunResult:
     doc: dict
     kind: str
-    rows: Iterable[tuple]  # per-index CSV rows; empty unless --format csv
+    columns: tuple[np.ndarray, ...]  # per-index CSV columns after n
     header: tuple[str, ...]
 
 
@@ -363,10 +366,9 @@ def run_real(config: RunConfig) -> RunResult:
         "tauber": _tauber_dict(tauber),
     }
 
-    rows = []
-    if config.fmt == "csv":
-        rows = zip(range(x.size), map(repr, x.tolist()), map(repr, means.tolist()))
-    return RunResult(doc=doc, kind="real", rows=rows, header=("n", "log_u", "log_w"))
+    return RunResult(
+        doc=doc, kind="real", columns=(x, means), header=("n", "log_u", "log_w")
+    )
 
 
 def run_ifn(config: RunConfig) -> RunResult:
@@ -377,17 +379,14 @@ def run_ifn(config: RunConfig) -> RunResult:
     mode = config.mode or "oplus"
 
     if mode == "oplus":
-        means = ifwa_means(seq, w)
-        xi_hat = means[verdict_window.end_index]
-        mean_verdict = np_oplus_verdict(seq, w, xi_hat, config.tol, verdict_window)
-        plain = oplus_convergence_check(seq, xi_hat, config.tol, verdict_window)
+        means, check = ifwa_means(seq, w), oplus_convergence_check
     elif mode == "otimes":
-        means = ifwg_means(seq, w)
-        xi_hat = means[verdict_window.end_index]
-        mean_verdict = gp_otimes_verdict(seq, w, xi_hat, config.tol, verdict_window)
-        plain = otimes_convergence_check(seq, xi_hat, config.tol, verdict_window)
+        means, check = ifwg_means(seq, w), otimes_convergence_check
     else:
         raise ConfigError(f"mode must be oplus or otimes, got {mode!r}")
+    xi_hat = means[verdict_window.end_index]
+    verdict = mean_verdict(means, check, xi_hat, config.tol, verdict_window)
+    plain = check(seq, xi_hat, config.tol, verdict_window)
 
     tauber = ifn_tauber_report(seq, w, grid, tauber_window, mode=mode)
     sva = sva_plus_estimate(w, grid, tauber_window)
@@ -398,20 +397,16 @@ def run_ifn(config: RunConfig) -> RunResult:
     doc["analysis"] = {
         "mode": mode,
         "xi_estimate": _ifn_dict(xi_hat),
-        "mean_verdict": _verdict_dict(mean_verdict),
+        "mean_verdict": _verdict_dict(verdict),
         "plain_convergence": plain,
         "means_tail": [_ifn_dict(m) for m in means[-10:]],
         "tauber": _ifn_tauber_dict(tauber),
     }
-
-    rows = []
-    if config.fmt == "csv":
-        rows = (
-            (n, repr(a.mu), repr(a.nu), repr(m.mu), repr(m.nu))
-            for n, (a, m) in enumerate(zip(seq, means))
-        )
     return RunResult(
-        doc=doc, kind="ifn", rows=rows, header=("n", "mu", "nu", "mean_mu", "mean_nu")
+        doc=doc,
+        kind="ifn",
+        columns=(*seq.rows, *means.rows),
+        header=("n", "mu", "nu", "mean_mu", "mean_nu"),
     )
 
 
@@ -435,10 +430,21 @@ def _emit(result: RunResult, config: RunConfig) -> None:
     if not config.out:
         raise ConfigError("--format csv needs --out (a sidecar JSON is written too)")
     out = Path(config.out)
-    lines = [",".join(result.header)]
-    lines.extend(",".join(str(c) for c in row) for row in result.rows)
-    out.write_text("\n".join(lines) + "\n")
+    with out.open("w") as f:
+        f.write(",".join(result.header) + "\n")
+        _write_csv_rows(f, result.columns)
     Path(str(out) + ".json").write_text(text)
+
+
+def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
+    """Rows 'n,repr(c[n]),...' in chunks of CSV_CHUNK_ROWS, so that only
+    one chunk's strings are alive at a time."""
+    length = columns[0].size
+    for start in range(0, length, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, length)
+        cells = [map(repr, c[start:stop].tolist()) for c in columns]
+        f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))))
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mcore import LogReal, as_logs
-from .ifn import IFN
+from .ifn import IFN, IFNRows, as_rows, simplex_rows
 
 __all__ = [
     "GeneratorError",
@@ -124,9 +124,12 @@ def _parse_spec(spec: str) -> tuple[str, dict]:
                     f"generator parameter {item!r} must look like key=value"
                 )
             try:
-                params[key.strip()] = float(val)
+                value = float(val)
             except ValueError:
                 raise GeneratorError(f"generator parameter {item!r} is not numeric")
+            if not math.isfinite(value):
+                raise GeneratorError(f"generator parameter {item!r} must be finite")
+            params[key.strip()] = value
     return name, params
 
 
@@ -156,13 +159,14 @@ def generator_kind(spec: str) -> str:
 
 def generate_array(spec: str, n_max: int) -> np.ndarray:
     """Values of a named sequence for indices 0..n_max inclusive: the
-    float64 logs (shape (n_max+1,)) of a real sequence, or the mu and nu
-    rows (shape (2, n_max+1)) of an IFN one."""
+    float64 logs (shape (n_max+1,)) of a real sequence, or the normalized
+    mu and nu rows (shape (2, n_max+1), see ifn.simplex_rows) of an IFN
+    one."""
     kind, fn, params = _lookup(spec)
     if n_max < 0:
         raise GeneratorError(f"n_max must be nonnegative, got {n_max}")
     values = fn(np.arange(n_max + 1, dtype=np.int64), params)
-    return as_logs(values) if kind == "real" else values
+    return as_logs(values) if kind == "real" else simplex_rows(values)
 
 
 def generate(spec: str, n_max: int) -> list:
@@ -170,7 +174,7 @@ def generate(spec: str, n_max: int) -> list:
     values = generate_array(spec, n_max)
     if values.ndim == 1:
         return [LogReal(v) for v in values.tolist()]
-    return [IFN(m, v) for m, v in zip(*values.tolist())]
+    return list(IFNRows(values))
 
 
 def real_sequence_text(logs: Sequence[float]) -> str:
@@ -210,6 +214,8 @@ def read_real_logs(path: str | Path) -> np.ndarray:
     if not lines:
         raise ValueError(f"sequence file {path} is empty")
     if lines[0] == LOG_HEADER:
+        if len(lines) == 1:
+            raise ValueError(f"sequence file {path} has no values")
         return np.fromiter(map(_parse_log, lines[1:]), np.float64, len(lines) - 1)
     return np.fromiter(map(_parse_plain, lines), np.float64, len(lines))
 
@@ -221,19 +227,34 @@ def read_real_sequence(path: str | Path) -> list[LogReal]:
 
 def write_ifn_sequence(path: str | Path, seq: Sequence[IFN]) -> None:
     """One 'mu,nu' pair per line."""
-    Path(path).write_text(ifn_sequence_text([a.mu for a in seq], [a.nu for a in seq]))
+    Path(path).write_text(ifn_sequence_text(*as_rows(seq).tolist()))
 
 
-def read_ifn_sequence(path: str | Path) -> list[IFN]:
-    out = []
-    for i, ln in enumerate(Path(path).read_text().splitlines()):
-        ln = ln.strip()
+def read_ifn_sequence(path: str | Path) -> IFNRows:
+    """One 'mu,nu' pair per line, as a read-only sequence of IFN over the
+    normalized (2, N) rows.
+
+    A malformed file raises the ValueError of its first bad line, in the
+    order the lines are read: a line that is not a pair of floats, or a
+    pair that IFN() rejects.
+    """
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    rows = np.empty((2, len(lines)))
+    mu, nu = rows
+    k = 0
+    for i, ln in enumerate(lines):
         if not ln:
             continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {i + 1} of {path} is not a 'mu,nu' pair: {ln!r}")
-        out.append(IFN(float(parts[0]), float(parts[1])))
-    if not out:
+        m, sep, v = ln.partition(",")
+        try:
+            if not sep or "," in v:
+                raise ValueError(f"line {i + 1} of {path} is not a 'mu,nu' pair: {ln!r}")
+            mu[k] = float(m)
+            nu[k] = float(v)
+        except ValueError:
+            simplex_rows(rows[:, :k])  # an earlier pair's error comes first
+            raise
+        k += 1
+    if k == 0:
         raise ValueError(f"sequence file {path} is empty")
-    return out
+    return IFNRows(simplex_rows(rows[:, :k]))

@@ -12,7 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs, star_converges_to
+from .mcore import (
+    LogReal,
+    MTolerance,
+    TailWindow,
+    Verdict,
+    as_logs,
+    resolve_window,
+    star_converges_to,
+)
 from .weights import WeightSequence, lambda_index
 
 __all__ = [
@@ -107,9 +115,7 @@ def gbar_verdict(
     """
     if tol is None:
         tol = MTolerance.default()
-    if window is None:
-        window = TailWindow.last_half(len(log_means))
-    window.check_fits(len(log_means))
+    window = resolve_window(window, len(log_means))
     estimate = LogReal(float(log_means[window.end_index]))
     passed = star_converges_to(log_means, estimate, tol, window)
     return Verdict(passed=passed, limit=estimate, window=window, tolerance=tol.value)

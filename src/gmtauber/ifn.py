@@ -7,29 +7,40 @@ The weighted means reduce componentwise to the real-valued geometric
 mean transform from `gmean`, which is also how the recovery conditions
 from `tauber` are applied: to (1-mu_n, nu_n) for the additive mean and
 to (mu_n, 1-nu_n) for the multiplicative one.
+
+Bulk computations work on a sequence as one (2, N) float64 array of
+mu/nu rows (`as_rows`); `IFN` objects appear only at the API edges.
+Only the additive (oplus) half is written out: the multiplicative
+(otimes) half is its conjugate under the swap sigma(mu, nu) = (nu, mu),
+which exchanges addition with multiplication, scalar multiples with
+powers and the additive with the multiplicative sandwich, and reverses
+<_L. The floating-point operations are the same on both sides.
 """
 
 import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .mcore import TailWindow, Verdict
+from .mcore import TailWindow, Verdict, resolve_window
 from .weights import LambdaGrid, WeightSequence
 from .gmean import transform_log_values
 from .tauber import ReportThresholds, TauberReport, recoverability_report
 
 __all__ = [
     "IFN",
+    "IFNRows",
     "EpsilonIFN",
     "PartialOrder",
     "AdditionLimitOutcome",
     "IFNTauberReport",
     "ADD_IDENTITY",
     "MUL_IDENTITY",
+    "simplex_rows",
+    "as_rows",
     "total_order_cmp",
     "partial_order_cmp",
     "add",
@@ -47,6 +58,7 @@ __all__ = [
     "otimes_sandwich_holds",
     "ifwa_means",
     "ifwg_means",
+    "mean_verdict",
     "np_oplus_verdict",
     "gp_otimes_verdict",
     "ifn_tauber_report",
@@ -135,6 +147,110 @@ class AdditionLimitOutcome(enum.Enum):
     FAILS = "fails"
 
 
+def _box(mu: float, nu: float) -> IFN:
+    """An IFN holding a pair that is already normalized, as it is.
+
+    IFN() would normalize it again, and normalization is not idempotent:
+    mu/s + nu/s can round above 1 once more, and a second division would
+    then move the pair.
+    """
+    a = object.__new__(IFN)
+    fields = a.__dict__  # what object.__setattr__ would write, at half the cost
+    fields["mu"] = mu
+    fields["nu"] = nu
+    return a
+
+
+def _swap(a: IFN) -> IFN:
+    """sigma(mu, nu) = (nu, mu)."""
+    return _box(a.nu, a.mu)
+
+
+def simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """IFN's normalization applied to every column of a (2, N) array of
+    raw mu/nu rows, returned as a new float64 array.
+
+    Each column gets the float operations of IFN.__post_init__: the
+    finite and nonnegativity checks, the clamp of negative components to
+    0 (which, like max(x, 0.0), keeps -0.0), the check on mu + nu, and
+    the division by mu + nu where it exceeds 1. The first column that
+    IFN() would reject raises IFN's own ValueError.
+    """
+    raw = np.asarray(rows, dtype=np.float64)
+    if raw.ndim != 2 or raw.shape[0] != 2:
+        raise ValueError(f"IFN rows must have shape (2, N), got {raw.shape}")
+    out = raw.copy()
+    out[out < 0.0] = 0.0
+    s = out[0] + out[1]
+    bad = (
+        ~np.isfinite(raw).all(axis=0)
+        | (raw < -_SIMPLEX_TOL).any(axis=0)
+        | (s > 1.0 + _SIMPLEX_TOL)
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        IFN(*raw[:, k].tolist())  # raises that column's own error
+    np.divide(out, s, out=out, where=s > 1.0)
+    return out
+
+
+class IFNRows(Sequence):
+    """A read-only sequence of IFN over a (2, N) array of normalized
+    mu/nu rows: element n is boxed from column n when it is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows = rows.view()
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IFNRows(self.rows[:, index])
+        return _box(*self.rows[:, index].tolist())
+
+    def __iter__(self) -> Iterator[IFN]:
+        return map(_box, *self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"IFNRows({len(self)} pairs)"
+
+
+def as_rows(seq: Sequence[IFN] | np.ndarray) -> np.ndarray:
+    """The (2, N) float64 mu/nu rows of an IFN sequence, the one form the
+    bulk computations work on.
+
+    IFNRows gives its rows and a sequence of IFN is unboxed. An ndarray
+    is taken as raw (mu, nu) rows: it goes through simplex_rows, as each
+    pair would through IFN().
+    """
+    if isinstance(seq, IFNRows):
+        return seq.rows
+    if isinstance(seq, np.ndarray):
+        return simplex_rows(seq)
+    rows = np.empty((2, len(seq)))
+    rows[0] = [a.mu for a in seq]
+    rows[1] = [a.nu for a in seq]
+    return rows
+
+
+def _window_rows(seq: Sequence[IFN], window: TailWindow | None) -> np.ndarray:
+    rows = as_rows(seq)
+    window = resolve_window(window, rows.shape[1], "IFN sequence")
+    return rows[:, window.start_index : window.end_index + 1]
+
+
 def total_order_cmp(a: IFN, b: IFN, tie_tol: float = 1e-12) -> int:
     """Score-then-accuracy comparison; returns -1, 0 or +1.
 
@@ -175,18 +291,28 @@ def _below_mul_identity(a: IFN) -> bool:
 
 
 def _above_add_identity(a: IFN) -> bool:
-    # a >_L (0, 1)
+    # a >_L (0, 1), i.e. sigma a <_L (1, 0)
     return a.mu > 0.0 and a.nu < 1.0
+
+
+# The additive operations as raw (mu, nu) pairs. Their multiplicative
+# duals apply them to swapped operands and build the IFN from the pair
+# swapped back, so that IFN()'s error shows the pair in its own order.
+
+
+def _add_pair(a: IFN, b: IFN) -> tuple[float, float]:
+    return 1.0 - (1.0 - a.mu) * (1.0 - b.mu), a.nu * b.nu
 
 
 def add(a: IFN, b: IFN) -> IFN:
     """Probabilistic sum on mu, product on nu; identity (0, 1)."""
-    return IFN(1.0 - (1.0 - a.mu) * (1.0 - b.mu), a.nu * b.nu)
+    return IFN(*_add_pair(a, b))
 
 
 def multiply(a: IFN, b: IFN) -> IFN:
     """Product on mu, probabilistic sum on nu; identity (1, 0)."""
-    return IFN(a.mu * b.mu, 1.0 - (1.0 - a.nu) * (1.0 - b.nu))
+    nu, mu = _add_pair(_swap(a), _swap(b))
+    return IFN(mu, nu)
 
 
 def _subtract_quotient(a: IFN, b: IFN, slack: float = _SIMPLEX_TOL) -> IFN | None:
@@ -213,26 +339,34 @@ def subtract(a: IFN, b: IFN) -> IFN:
     return ADD_IDENTITY if q is None else q
 
 
+def _check_exponent(c: float, what: str) -> None:
+    if not (c >= 0 and math.isfinite(c)):
+        raise ValueError(f"{what} must be finite and nonnegative, got {c}")
+
+
+def _scalar_mul_pair(c: float, a: IFN) -> tuple[float, float]:
+    return 1.0 - (1.0 - a.mu) ** c, a.nu**c
+
+
 def scalar_mul(c: float, a: IFN) -> IFN:
     """c * a = (1 - (1-mu)^c, nu^c) for c >= 0 and a <_L (1, 0)."""
-    if not (c >= 0 and math.isfinite(c)):
-        raise ValueError(f"scalar must be finite and nonnegative, got {c}")
+    _check_exponent(c, "scalar")
     if not _below_mul_identity(a):
         raise ValueError(f"scalar_mul needs mu < 1 and nu > 0, got {a}")
     if c == 1.0:
         return a
-    return IFN(1.0 - (1.0 - a.mu) ** c, a.nu**c)
+    return IFN(*_scalar_mul_pair(c, a))
 
 
 def power(a: IFN, c: float) -> IFN:
     """a^c = (mu^c, 1 - (1-nu)^c) for c >= 0 and a >_L (0, 1)."""
-    if not (c >= 0 and math.isfinite(c)):
-        raise ValueError(f"exponent must be finite and nonnegative, got {c}")
+    _check_exponent(c, "exponent")
     if not _above_add_identity(a):
         raise ValueError(f"power needs mu > 0 and nu < 1, got {a}")
     if c == 1.0:
         return a
-    return IFN(a.mu**c, 1.0 - (1.0 - a.nu) ** c)
+    nu, mu = _scalar_mul_pair(c, _swap(a))
+    return IFN(mu, nu)
 
 
 def in_addition_region(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> bool:
@@ -248,13 +382,6 @@ def in_addition_region(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> bool:
     return abs(recon.mu - a.mu) <= tol and abs(recon.nu - a.nu) <= tol
 
 
-def _resolve_window(seq: Sequence[IFN], window: TailWindow | None) -> TailWindow:
-    if window is None:
-        window = TailWindow.last_half(len(seq))
-    window.check_fits(len(seq), "IFN sequence")
-    return window
-
-
 def addition_limit_check(
     seq: Sequence[IFN],
     xi: IFN,
@@ -267,7 +394,7 @@ def addition_limit_check(
     region of xi; otherwise HOLDS iff (a_n - xi) <_L (eps, 1-eps)
     throughout the window.
     """
-    window = _resolve_window(seq, window)
+    window = resolve_window(window, len(seq), "IFN sequence")
     if not all(in_addition_region(seq[n], xi) for n in window.indices()):
         return AdditionLimitOutcome.NOT_APPLICABLE
     bar_eps = eps.additive_form
@@ -290,7 +417,7 @@ def zhangxu_limit_check(
     """
     if eps.mu == 0.0 and eps.nu == 1.0:
         raise ValueError("eps must differ from (0, 1)")
-    window = _resolve_window(seq, window)
+    window = resolve_window(window, len(seq), "IFN sequence")
     xi_plus = add(xi, eps)
     for n in window.indices():
         c = total_order_cmp(seq[n], xi)
@@ -327,6 +454,24 @@ def zhangxu_limit_check_sampled(
     return all(zhangxu_limit_check(seq, xi, eps, window) for eps in eps_samples)
 
 
+def _oplus_sandwich(block: np.ndarray, xi: IFN, bar_eps: IFN) -> bool:
+    """a <_L xi + bar_eps and xi <_L a + bar_eps for every column a of
+    `block`; a + bar_eps is `add`, column by column."""
+    mu, nu = block
+    xi_plus = add(xi, bar_eps)
+    a_plus = simplex_rows(
+        np.stack([1.0 - (1.0 - mu) * (1.0 - bar_eps.mu), nu * bar_eps.nu])
+    )
+    return bool(
+        np.all(
+            (mu < xi_plus.mu)
+            & (nu > xi_plus.nu)
+            & (xi.mu < a_plus[0])
+            & (xi.nu > a_plus[1])
+        )
+    )
+
+
 def oplus_sandwich_holds(
     seq: Sequence[IFN],
     xi: IFN,
@@ -336,13 +481,7 @@ def oplus_sandwich_holds(
     """Definitional additive sandwich at one eps:
     a_n <_L xi + (eps, 1-eps) and xi <_L a_n + (eps, 1-eps) on the window."""
     bar_eps = EpsilonIFN(eps).additive_form
-    window = _resolve_window(seq, window)
-    xi_plus = add(xi, bar_eps)
-    for n in window.indices():
-        a = seq[n]
-        if not (_lt_L(a, xi_plus) and _lt_L(xi, add(a, bar_eps))):
-            return False
-    return True
+    return _oplus_sandwich(_window_rows(seq, window), xi, bar_eps)
 
 
 def otimes_sandwich_holds(
@@ -352,24 +491,32 @@ def otimes_sandwich_holds(
     window: TailWindow | None = None,
 ) -> bool:
     """Definitional multiplicative sandwich at one eps:
-    a_n * (1-eps, eps) <_L xi and xi * (1-eps, eps) <_L a_n."""
-    bar_eps = EpsilonIFN(eps).multiplicative_form
-    window = _resolve_window(seq, window)
-    xi_times = multiply(xi, bar_eps)
-    for n in window.indices():
-        a = seq[n]
-        if not (_lt_L(multiply(a, bar_eps), xi) and _lt_L(xi_times, a)):
-            return False
-    return True
+    a_n * (1-eps, eps) <_L xi and xi * (1-eps, eps) <_L a_n; the
+    additive sandwich of (sigma a_n) around sigma xi."""
+    bar_eps = EpsilonIFN(eps).additive_form
+    return _oplus_sandwich(_window_rows(seq, window)[::-1], _swap(xi), bar_eps)
 
 
-def _component_test(
-    seq: Sequence[IFN], xi: IFN, tol: float, window: TailWindow
-) -> bool:
-    return all(
-        abs(seq[n].mu - xi.mu) <= tol and abs(seq[n].nu - xi.nu) <= tol
-        for n in window.indices()
-    )
+def _oplus_converges(block: np.ndarray, xi: IFN, tol: float, sandwich: str) -> bool:
+    """Component test of the window columns against xi <_L (1, 0), with
+    the additive sandwich as a cross-check (`sandwich` names it in the
+    warning)."""
+    mu, nu = block
+    comp = bool(np.all((np.abs(mu - xi.mu) <= tol) & (np.abs(nu - xi.nu) <= tol)))
+    # eps such that component-tolerance passes force the sandwich (margin 2x).
+    room = min(1.0 - xi.mu - tol, xi.nu - tol)
+    if comp and room > 0:
+        eps_cross = min(1.0, 2.0 * tol / room)
+        if eps_cross < 1.0 and not _oplus_sandwich(
+            block, xi, EpsilonIFN(eps_cross).additive_form
+        ):
+            warnings.warn(
+                f"component test passed but the {sandwich} sandwich failed at "
+                f"eps={eps_cross}; window evidence sits on the tolerance edge",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return comp
 
 
 def oplus_convergence_check(
@@ -387,20 +534,7 @@ def oplus_convergence_check(
     """
     if not _below_mul_identity(xi):
         raise ValueError(f"limit candidate must satisfy mu < 1 and nu > 0, got {xi}")
-    window = _resolve_window(seq, window)
-    comp = _component_test(seq, xi, tol, window)
-    # eps such that component-tolerance passes force the sandwich (margin 2x).
-    room = min(1.0 - xi.mu - tol, xi.nu - tol)
-    if comp and room > 0:
-        eps_cross = min(1.0, 2.0 * tol / room)
-        if eps_cross < 1.0 and not oplus_sandwich_holds(seq, xi, eps_cross, window):
-            warnings.warn(
-                "component test passed but the additive sandwich failed at "
-                f"eps={eps_cross}; window evidence sits on the tolerance edge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return comp
+    return _oplus_converges(_window_rows(seq, window), xi, tol, "additive")
 
 
 def otimes_convergence_check(
@@ -411,74 +545,93 @@ def otimes_convergence_check(
 ) -> bool:
     """Windowed componentwise convergence of (a_n) to xi >_L (0, 1).
 
-    Mirror of the additive check; the multiplicative sandwich is the
-    cross-checked definitional form.
+    The additive check on (sigma a_n) and sigma xi; its sandwich
+    cross-check is the multiplicative sandwich.
     """
     if not _above_add_identity(xi):
         raise ValueError(f"limit candidate must satisfy mu > 0 and nu < 1, got {xi}")
-    window = _resolve_window(seq, window)
-    comp = _component_test(seq, xi, tol, window)
-    room = min(xi.mu - tol, 1.0 - xi.nu - tol)
-    if comp and room > 0:
-        eps_cross = min(1.0, 2.0 * tol / room)
-        if eps_cross < 1.0 and not otimes_sandwich_holds(seq, xi, eps_cross, window):
-            warnings.warn(
-                "component test passed but the multiplicative sandwich failed "
-                f"at eps={eps_cross}; window evidence sits on the tolerance edge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return comp
+    block = _window_rows(seq, window)[::-1]
+    return _oplus_converges(block, _swap(xi), tol, "multiplicative")
 
 
-def _require_all_below_mul_identity(seq: Sequence[IFN]) -> None:
-    for k, a in enumerate(seq):
-        if not _below_mul_identity(a):
-            raise ValueError(
-                f"element {k} = {a} violates the additive-mean assumption "
-                "(needs mu < 1 and nu > 0)"
-            )
+def _first_not_below_mul_identity(rows: np.ndarray) -> int | None:
+    outside = ~((rows[0] < 1.0) & (rows[1] > 0.0))
+    return int(np.argmax(outside)) if outside.any() else None
 
 
-def _require_all_above_add_identity(seq: Sequence[IFN]) -> None:
-    for k, a in enumerate(seq):
-        if not _above_add_identity(a):
-            raise ValueError(
-                f"element {k} = {a} violates the geometric-mean assumption "
-                "(needs mu > 0 and nu < 1)"
-            )
+def _require_all_below_mul_identity(rows: np.ndarray) -> None:
+    k = _first_not_below_mul_identity(rows)
+    if k is not None:
+        raise ValueError(
+            f"element {k} = {_box(*rows[:, k].tolist())} violates the "
+            "additive-mean assumption (needs mu < 1 and nu > 0)"
+        )
 
 
-def ifwa_means(seq: Sequence[IFN], w: WeightSequence) -> list[IFN]:
+def _require_all_above_add_identity(rows: np.ndarray) -> None:
+    k = _first_not_below_mul_identity(rows[::-1])
+    if k is not None:
+        raise ValueError(
+            f"element {k} = {_box(*rows[:, k].tolist())} violates the "
+            "geometric-mean assumption (needs mu > 0 and nu < 1)"
+        )
+
+
+def _oplus_component_logs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 - mu) and log(nu): the real sequences behind the additive mean."""
+    return np.log(1.0 - rows[0]), np.log(rows[1])
+
+
+def _oplus_mean_rows(rows: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """t_n = (1 - W(1-mu)_n, W(nu)_n) for rows of elements <_L (1, 0),
+    not yet normalized: the caller normalizes in its own (mu, nu) order,
+    so that an IFN error shows the pair unswapped."""
+    one_minus_mu, nu = _oplus_component_logs(rows)
+    w_mu = np.exp(transform_log_values(one_minus_mu, w))
+    w_nu = np.exp(transform_log_values(nu, w))
+    return np.stack([1.0 - w_mu, w_nu])
+
+
+def ifwa_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
     """Running weighted averaging means t_n = (1/P_n) * sum_k p_k a_k.
 
     Closed form: t_n = (1 - W(1-mu)_n, W(nu)_n) with W the weighted
     geometric mean transform. Requires every element <_L (1, 0).
     """
-    if len(seq) == 0:
+    rows = as_rows(seq)
+    if rows.shape[1] == 0:
         raise ValueError("cannot average an empty sequence")
-    _require_all_below_mul_identity(seq)
-    one_minus_mu = np.log([1.0 - a.mu for a in seq])
-    nus = np.log([a.nu for a in seq])
-    w_mu = np.exp(transform_log_values(one_minus_mu, w))
-    w_nu = np.exp(transform_log_values(nus, w))
-    return [IFN(1.0 - float(m), float(v)) for m, v in zip(w_mu, w_nu)]
+    _require_all_below_mul_identity(rows)
+    return IFNRows(simplex_rows(_oplus_mean_rows(rows, w)))
 
 
-def ifwg_means(seq: Sequence[IFN], w: WeightSequence) -> list[IFN]:
+def ifwg_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
     """Running weighted geometric means h_n = (prod_k a_k^{p_k})^(1/P_n).
 
-    Closed form: h_n = (W(mu)_n, 1 - W(1-nu)_n). Requires every element
-    >_L (0, 1).
+    Closed form: h_n = (W(mu)_n, 1 - W(1-nu)_n), the averaging means of
+    (sigma a_k) swapped back. Requires every element >_L (0, 1).
     """
-    if len(seq) == 0:
+    rows = as_rows(seq)
+    if rows.shape[1] == 0:
         raise ValueError("cannot average an empty sequence")
-    _require_all_above_add_identity(seq)
-    mus = np.log([a.mu for a in seq])
-    one_minus_nu = np.log([1.0 - a.nu for a in seq])
-    w_mu = np.exp(transform_log_values(mus, w))
-    w_nu = np.exp(transform_log_values(one_minus_nu, w))
-    return [IFN(float(m), 1.0 - float(v)) for m, v in zip(w_mu, w_nu)]
+    _require_all_above_add_identity(rows)
+    return IFNRows(simplex_rows(_oplus_mean_rows(rows[::-1], w)[::-1]))
+
+
+def mean_verdict(
+    means: Sequence[IFN],
+    check: Callable[..., bool],
+    xi: IFN,
+    tol: float = 1e-3,
+    window: TailWindow | None = None,
+) -> Verdict:
+    """Windowed test of convergence of precomputed means to xi, by
+    `check` (oplus_convergence_check or otimes_convergence_check)."""
+    window = resolve_window(window, len(means), "IFN sequence")
+    passed = check(means, xi, tol, window)
+    return Verdict(
+        passed=passed, limit=means[window.end_index], window=window, tolerance=tol
+    )
 
 
 def np_oplus_verdict(
@@ -489,12 +642,7 @@ def np_oplus_verdict(
     window: TailWindow | None = None,
 ) -> Verdict:
     """Windowed test of convergence of the averaging means to xi."""
-    means = ifwa_means(seq, w)
-    window = _resolve_window(means, window)
-    passed = oplus_convergence_check(means, xi, tol, window)
-    return Verdict(
-        passed=passed, limit=means[window.end_index], window=window, tolerance=tol
-    )
+    return mean_verdict(ifwa_means(seq, w), oplus_convergence_check, xi, tol, window)
 
 
 def gp_otimes_verdict(
@@ -505,12 +653,7 @@ def gp_otimes_verdict(
     window: TailWindow | None = None,
 ) -> Verdict:
     """Windowed test of convergence of the geometric means to xi."""
-    means = ifwg_means(seq, w)
-    window = _resolve_window(means, window)
-    passed = otimes_convergence_check(means, xi, tol, window)
-    return Verdict(
-        passed=passed, limit=means[window.end_index], window=window, tolerance=tol
-    )
+    return mean_verdict(ifwg_means(seq, w), otimes_convergence_check, xi, tol, window)
 
 
 @dataclass(frozen=True)
@@ -539,19 +682,19 @@ def ifn_tauber_report(
     """Run the real-sequence recovery diagnostics on the component pair.
 
     mode "oplus" drives (1-mu_n) and (nu_n); mode "otimes" drives (mu_n)
-    and (1-nu_n). The respective mean assumptions must hold at every
-    index (the closed forms take logs of these components).
+    and (1-nu_n), the oplus pair of (sigma a_n) in reverse order. The
+    respective mean assumptions must hold at every index (the closed
+    forms take logs of these components).
     """
+    rows = as_rows(seq)
     if mode == "oplus":
-        _require_all_below_mul_identity(seq)
+        _require_all_below_mul_identity(rows)
         labels = ("one_minus_mu", "nu")
-        first = np.log([1.0 - a.mu for a in seq])
-        second = np.log([a.nu for a in seq])
+        first, second = _oplus_component_logs(rows)
     elif mode == "otimes":
-        _require_all_above_add_identity(seq)
+        _require_all_above_add_identity(rows)
         labels = ("mu", "one_minus_nu")
-        first = np.log([a.mu for a in seq])
-        second = np.log([1.0 - a.nu for a in seq])
+        second, first = _oplus_component_logs(rows[::-1])
     else:
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
 

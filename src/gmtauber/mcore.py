@@ -26,6 +26,7 @@ __all__ = [
     "log_array",
     "from_log_array",
     "as_logs",
+    "resolve_window",
 ]
 
 
@@ -176,12 +177,15 @@ def mdelta(seq: Sequence[LogReal], n: int) -> LogReal:
     return seq[n] / seq[n - 1]
 
 
-def _resolve_window(
-    seq: Sequence[LogReal] | np.ndarray, window: TailWindow | None
+def resolve_window(
+    window: TailWindow | None, length: int, what: str = "sequence"
 ) -> TailWindow:
+    """The window policy of every windowed check: the last half of a
+    length-`length` sequence when `window` is None, and in either case a
+    window that fits (`what` names the sequence in the error)."""
     if window is None:
-        window = TailWindow.last_half(len(seq))
-    window.check_fits(len(seq))
+        window = TailWindow.last_half(length)
+    window.check_fits(length, what)
     return window
 
 
@@ -197,7 +201,7 @@ def star_converges_to(
     evidence about the window, not a decision about the infinite tail.
     """
     x = as_logs(seq)
-    window = _resolve_window(x, window)
+    window = resolve_window(window, x.size)
     block = x[window.start_index : window.end_index + 1]
     return bool(np.all(np.abs(block - a.log_value) < tol.log))
 
@@ -210,7 +214,7 @@ def is_mstar_bounded(
     """True iff |u_n|* < bound for every n in the window (bound > 1)."""
     if not bound.log_value > 0:
         raise ValueError("the *bound must be > 1")
-    window = _resolve_window(seq, window)
+    window = resolve_window(window, len(seq))
     log_b = bound.log_value
     return all(abs(seq[n].log_value) < log_b for n in window.indices())
 

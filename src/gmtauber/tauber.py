@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
+from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs, resolve_window
 from .weights import LambdaGrid, WeightSequence
 from .gmean import _weighted_prefixes, gbar_verdict
 
@@ -133,8 +133,7 @@ def slow_oscillation_estimate(
     x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
-    if window is None:
-        window = TailWindow.last_half(x.size)
+    window = resolve_window(window, x.size)
     curve = slow_oscillation_curve(x, grid, window, backward=backward)
     if not curve:
         raise ValueError(
@@ -213,8 +212,7 @@ def tauber_con1_estimate(
     x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
-    if window is None:
-        window = TailWindow.last_half(x.size)
+    window = resolve_window(window, x.size)
     return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=1))
 
 
@@ -228,8 +226,7 @@ def tauber_con2_estimate(
     x = as_logs(u)
     if grid is None:
         grid = LambdaGrid.default()
-    if window is None:
-        window = TailWindow.last_half(x.size)
+    window = resolve_window(window, x.size)
     return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=2))
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .mcore import TailWindow
+from .mcore import TailWindow, resolve_window
 
 __all__ = [
     "WeightSequence",
@@ -164,9 +164,7 @@ def sva_plus_estimate(
     """Estimate how far the partial-sum ratios stay from 1 per lambda."""
     if grid is None:
         grid = LambdaGrid.default()
-    if window is None:
-        window = TailWindow.last_half(len(w))
-    window.check_fits(len(w), "weights")
+    window = resolve_window(window, len(w), "weights")
 
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     per_lambda: dict[float, float] = {}

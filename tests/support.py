@@ -1,25 +1,33 @@
 """Shared test helpers: definition-level IFN mean folds, generators for
 sequences those folds can evaluate without float underflow, the per-n
-slow-oscillation loop kept as the oracle for the vectorized one, and the
-per-element sequence generators and per-line real-file reader kept as
-oracles for the array ones."""
+slow-oscillation loop kept as the oracle for the vectorized one, the
+per-element sequence generators and per-line file readers kept as
+oracles for the array ones, and the object-level IFN means, checks,
+sandwiches and component report kept as oracles for the (2, N) row
+ones."""
 
 import math
+import warnings
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from gmtauber.ifn import (
     ADD_IDENTITY,
     MUL_IDENTITY,
     IFN,
+    EpsilonIFN,
+    IFNTauberReport,
     add,
     multiply,
     power,
     scalar_mul,
 )
+from gmtauber.gmean import transform_log_values
 from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
-from gmtauber.mcore import LogReal, TailWindow, log_array
-from gmtauber.tauber import _check_lambda_bounds, _safe_exp
+from gmtauber.mcore import LogReal, TailWindow, Verdict, log_array
+from gmtauber.tauber import _check_lambda_bounds, _safe_exp, recoverability_report
 from gmtauber.weights import LambdaGrid
 
 
@@ -163,5 +171,202 @@ def read_real_sequence_oracle(path: str | Path) -> list[LogReal]:
     if not lines:
         raise ValueError(f"sequence file {path} is empty")
     if lines[0] == LOG_HEADER:
+        if len(lines) == 1:
+            raise ValueError(f"sequence file {path} has no values")
         return [LogReal.from_log(float(ln)) for ln in lines[1:]]
     return [LogReal.of(float(ln)) for ln in lines]
+
+
+def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
+    """Per-line form of gmtauber.generators.read_ifn_sequence."""
+    out = []
+    for i, ln in enumerate(Path(path).read_text().splitlines()):
+        ln = ln.strip()
+        if not ln:
+            continue
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"line {i + 1} of {path} is not a 'mu,nu' pair: {ln!r}")
+        out.append(IFN(float(parts[0]), float(parts[1])))
+    if not out:
+        raise ValueError(f"sequence file {path} is empty")
+    return out
+
+
+# Object-level IFN layer: one IFN per element and per intermediate, the
+# straightforward form of the (2, N) row code in gmtauber.ifn, with the
+# multiplicative half written out instead of conjugated by the swap.
+
+
+def multiply_oracle(a: IFN, b: IFN) -> IFN:
+    return IFN(a.mu * b.mu, 1.0 - (1.0 - a.nu) * (1.0 - b.nu))
+
+
+def power_oracle(a: IFN, c: float) -> IFN:
+    if not (c >= 0 and math.isfinite(c)):
+        raise ValueError(f"exponent must be finite and nonnegative, got {c}")
+    if not (a.mu > 0.0 and a.nu < 1.0):
+        raise ValueError(f"power needs mu > 0 and nu < 1, got {a}")
+    if c == 1.0:
+        return a
+    return IFN(a.mu**c, 1.0 - (1.0 - a.nu) ** c)
+
+
+def _lt_L(a: IFN, b: IFN) -> bool:
+    return a.mu < b.mu and a.nu > b.nu
+
+
+def _window(seq: Sequence[IFN], window: TailWindow | None) -> TailWindow:
+    if window is None:
+        window = TailWindow.last_half(len(seq))
+    window.check_fits(len(seq), "IFN sequence")
+    return window
+
+
+def oplus_sandwich_oracle(seq, xi: IFN, eps: float, window=None) -> bool:
+    bar_eps = EpsilonIFN(eps).additive_form
+    window = _window(seq, window)
+    xi_plus = add(xi, bar_eps)
+    for n in window.indices():
+        a = seq[n]
+        if not (_lt_L(a, xi_plus) and _lt_L(xi, add(a, bar_eps))):
+            return False
+    return True
+
+
+def otimes_sandwich_oracle(seq, xi: IFN, eps: float, window=None) -> bool:
+    bar_eps = EpsilonIFN(eps).multiplicative_form
+    window = _window(seq, window)
+    xi_times = multiply_oracle(xi, bar_eps)
+    for n in window.indices():
+        a = seq[n]
+        if not (_lt_L(multiply_oracle(a, bar_eps), xi) and _lt_L(xi_times, a)):
+            return False
+    return True
+
+
+def _component_test(seq, xi: IFN, tol: float, window: TailWindow) -> bool:
+    return all(
+        abs(seq[n].mu - xi.mu) <= tol and abs(seq[n].nu - xi.nu) <= tol
+        for n in window.indices()
+    )
+
+
+def oplus_convergence_oracle(seq, xi: IFN, tol: float = 1e-3, window=None) -> bool:
+    if not (xi.mu < 1.0 and xi.nu > 0.0):
+        raise ValueError(f"limit candidate must satisfy mu < 1 and nu > 0, got {xi}")
+    window = _window(seq, window)
+    comp = _component_test(seq, xi, tol, window)
+    room = min(1.0 - xi.mu - tol, xi.nu - tol)
+    if comp and room > 0:
+        eps_cross = min(1.0, 2.0 * tol / room)
+        if eps_cross < 1.0 and not oplus_sandwich_oracle(seq, xi, eps_cross, window):
+            warnings.warn(
+                "component test passed but the additive sandwich failed at "
+                f"eps={eps_cross}; window evidence sits on the tolerance edge",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return comp
+
+
+def otimes_convergence_oracle(seq, xi: IFN, tol: float = 1e-3, window=None) -> bool:
+    if not (xi.mu > 0.0 and xi.nu < 1.0):
+        raise ValueError(f"limit candidate must satisfy mu > 0 and nu < 1, got {xi}")
+    window = _window(seq, window)
+    comp = _component_test(seq, xi, tol, window)
+    room = min(xi.mu - tol, 1.0 - xi.nu - tol)
+    if comp and room > 0:
+        eps_cross = min(1.0, 2.0 * tol / room)
+        if eps_cross < 1.0 and not otimes_sandwich_oracle(seq, xi, eps_cross, window):
+            warnings.warn(
+                "component test passed but the multiplicative sandwich failed "
+                f"at eps={eps_cross}; window evidence sits on the tolerance edge",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return comp
+
+
+def _require_all(seq, inside, assumption: str) -> None:
+    for k, a in enumerate(seq):
+        if not inside(a):
+            raise ValueError(f"element {k} = {a} violates the {assumption}")
+
+
+def _require_additive(seq) -> None:
+    _require_all(
+        seq,
+        lambda a: a.mu < 1.0 and a.nu > 0.0,
+        "additive-mean assumption (needs mu < 1 and nu > 0)",
+    )
+
+
+def _require_geometric(seq) -> None:
+    _require_all(
+        seq,
+        lambda a: a.mu > 0.0 and a.nu < 1.0,
+        "geometric-mean assumption (needs mu > 0 and nu < 1)",
+    )
+
+
+def ifwa_means_oracle(seq, w) -> list[IFN]:
+    if len(seq) == 0:
+        raise ValueError("cannot average an empty sequence")
+    _require_additive(seq)
+    one_minus_mu = np.log([1.0 - a.mu for a in seq])
+    nus = np.log([a.nu for a in seq])
+    w_mu = np.exp(transform_log_values(one_minus_mu, w))
+    w_nu = np.exp(transform_log_values(nus, w))
+    return [IFN(1.0 - float(m), float(v)) for m, v in zip(w_mu, w_nu)]
+
+
+def ifwg_means_oracle(seq, w) -> list[IFN]:
+    if len(seq) == 0:
+        raise ValueError("cannot average an empty sequence")
+    _require_geometric(seq)
+    mus = np.log([a.mu for a in seq])
+    one_minus_nu = np.log([1.0 - a.nu for a in seq])
+    w_mu = np.exp(transform_log_values(mus, w))
+    w_nu = np.exp(transform_log_values(one_minus_nu, w))
+    return [IFN(float(m), 1.0 - float(v)) for m, v in zip(w_mu, w_nu)]
+
+
+def np_oplus_verdict_oracle(seq, w, xi: IFN, tol: float = 1e-3, window=None) -> Verdict:
+    means = ifwa_means_oracle(seq, w)
+    window = _window(means, window)
+    passed = oplus_convergence_oracle(means, xi, tol, window)
+    return Verdict(passed=passed, limit=means[window.end_index], window=window, tolerance=tol)
+
+
+def gp_otimes_verdict_oracle(seq, w, xi: IFN, tol: float = 1e-3, window=None) -> Verdict:
+    means = ifwg_means_oracle(seq, w)
+    window = _window(means, window)
+    passed = otimes_convergence_oracle(means, xi, tol, window)
+    return Verdict(passed=passed, limit=means[window.end_index], window=window, tolerance=tol)
+
+
+def ifn_tauber_report_oracle(
+    seq, w, grid=None, window=None, mode: str = "oplus", thresholds=None
+) -> IFNTauberReport:
+    if mode == "oplus":
+        _require_additive(seq)
+        labels = ("one_minus_mu", "nu")
+        first = np.log([1.0 - a.mu for a in seq])
+        second = np.log([a.nu for a in seq])
+    elif mode == "otimes":
+        _require_geometric(seq)
+        labels = ("mu", "one_minus_nu")
+        first = np.log([a.mu for a in seq])
+        second = np.log([1.0 - a.nu for a in seq])
+    else:
+        raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
+    rep1 = recoverability_report(first, w, grid, window, thresholds)
+    rep2 = recoverability_report(second, w, grid, window, thresholds)
+    return IFNTauberReport(
+        mode=mode,
+        component_labels=labels,
+        first=rep1,
+        second=rep2,
+        recovery_verdict=bool(rep1.recovery_verdict and rep2.recovery_verdict),
+    )

@@ -1,7 +1,7 @@
 """The real pipeline on float64 log arrays: every public entry point of
 gmean and tauber gives the same result for an ndarray of logs as for the
-same values as LogReal objects, and `gmt analyze` allocates nothing per
-index."""
+same values as LogReal objects, and neither `gmt analyze` nor
+`gmt ifn-analyze` allocates anything per index."""
 
 import io
 import tracemalloc
@@ -12,7 +12,7 @@ import pytest
 
 from gmtauber.cli import main
 from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
-from gmtauber.generators import generate_array
+from gmtauber.generators import generate_array, ifn_sequence_text
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
 from gmtauber.tauber import (
     default_report_window,
@@ -103,3 +103,24 @@ def test_analyze_allocates_nothing_per_index():
         tracemalloc.stop()
     assert code == 0
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_ifn_analyze_csv_allocates_nothing_per_index(tmp_path):
+    # 100000 pairs: an IFN object per index (a frozen dataclass with its
+    # dict and two floats, ~200 bytes) would take 20 MB by itself. Traced
+    # peaks: 48.2 MB with per-index objects, 13.4 MB on the (2, N) rows.
+    path = tmp_path / "seq.txt"
+    path.write_text(ifn_sequence_text(*generate_array("ex4-ifn", 99999).tolist()))
+    argv = [
+        "ifn-analyze", "--in", str(path), "--mode", "otimes",
+        "--weights", "alternating:1,3", "--format", "csv",
+        "--out", str(tmp_path / "r.csv"), "--no-timestamp",
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -293,6 +293,17 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "too short" in err and "--n-max" in err and "--lambda-grid" in err
 
+    @pytest.mark.parametrize("spec", ["exp-decay:c=inf", "constant:c=inf", "exp-decay:c=nan"])
+    def test_non_finite_generator_parameter(self, capsys, spec):
+        assert run_cli("analyze", "--generator", spec, "--n-max", "10") == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_header_only_sequence_file(self, tmp_path, capsys):
+        f = tmp_path / "seq.txt"
+        f.write_text("log:\n")
+        assert run_cli("analyze", "--in", str(f)) == 2
+        assert f"sequence file {f} has no values" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, text",
         [

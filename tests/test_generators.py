@@ -201,11 +201,11 @@ class TestArrayReaderMatchesPerLine:
         np.testing.assert_array_equal(_bits(read_real_logs(path)), _bits(expected))
         assert read_real_sequence(path) == read_real_sequence_oracle(path)
 
-    def test_header_only_is_empty(self, tmp_path):
+    def test_header_only_is_rejected(self, tmp_path):
         path = tmp_path / "log.txt"
-        path.write_text("log:\n")
-        assert read_real_logs(path).size == 0
-        assert read_real_sequence(path) == read_real_sequence_oracle(path) == []
+        path.write_text("log:\n\n")
+        expected = ("ValueError", f"sequence file {path} has no values")
+        assert _oracle_outcome(path) == _array_outcome(path) == expected
 
     @pytest.mark.parametrize(
         "text",

@@ -1,0 +1,270 @@
+"""The IFN layer on (2, N) mu/nu rows: every public entry point gives,
+bit for bit, what the object-level oracles in `support` give, on lists
+of IFN and on IFNRows views, including pairs on the simplex boundary;
+errors carry the same text."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gmtauber.generators import read_ifn_sequence
+from gmtauber.ifn import (
+    IFN,
+    IFNRows,
+    as_rows,
+    gp_otimes_verdict,
+    ifn_tauber_report,
+    ifwa_means,
+    ifwg_means,
+    multiply,
+    np_oplus_verdict,
+    oplus_convergence_check,
+    oplus_sandwich_holds,
+    otimes_convergence_check,
+    otimes_sandwich_holds,
+    power,
+    simplex_rows,
+)
+from gmtauber.mcore import TailWindow
+from gmtauber.weights import LambdaGrid, WeightSequence
+
+import support
+
+# mu + nu = 1.0000000000000006 divides once, and the quotients still sum
+# above 1: IFN() of the stored pair would divide again and move it.
+RENORMALIZED_PAIR = (0.6, 0.4000000000000006)
+
+SPECIAL_PAIRS = [
+    (0.0, 1.0),
+    (1.0, 0.0),
+    (0.0, 0.0),
+    (-0.0, 0.5),
+    (0.5, -0.0),
+    (-1e-13, 0.5),
+    (0.3, -1e-13),
+    (1.0, 1e-12),
+    RENORMALIZED_PAIR,
+]
+INVALID_PAIRS = [
+    (math.nan, 0.5),
+    (0.2, math.inf),
+    (-1e-11, 0.5),
+    (0.7, 0.5),
+    (0.5, 0.5 + 2e-12),
+]
+
+unit = st.floats(0.0, 1.0)
+interior_pairs = st.tuples(unit, unit).map(lambda p: (p[0], (1.0 - p[0]) * p[1]))
+# mu + nu in [1, 1 + 1e-12): the division branch.
+boundary_pairs = st.tuples(unit, st.floats(0.0, 9e-13)).map(
+    lambda p: (p[0], 1.0 - p[0] + p[1])
+)
+pairs = st.one_of(interior_pairs, boundary_pairs, st.sampled_from(SPECIAL_PAIRS))
+raw_pairs = st.one_of(pairs, st.sampled_from(INVALID_PAIRS))
+
+
+def _hex(a: IFN) -> tuple[str, str]:
+    """The exact pair, with 0.0 and -0.0 told apart."""
+    return (float(a.mu).hex(), float(a.nu).hex())
+
+
+def _outcome(fn, *args):
+    """(result, warning texts), or the ValueError text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+    if isinstance(result, IFN):
+        result = _hex(result)
+    elif isinstance(result, (list, IFNRows)):
+        result = [_hex(a) for a in result]
+    elif hasattr(result, "limit"):  # Verdict
+        result = (result.passed, _hex(result.limit), result.window, result.tolerance)
+    elif not isinstance(result, bool):
+        result = repr(result)  # reports: repr shows every float exactly
+    return result, [str(w.message) for w in caught]
+
+
+def _ifns(raw) -> list[IFN]:
+    return [IFN(m, v) for m, v in raw]
+
+
+def _rows(raw) -> np.ndarray:
+    return np.array(raw, dtype=np.float64).T.reshape(2, -1)
+
+
+def _inputs(raw):
+    """The same sequence as IFN objects and as an IFNRows view."""
+    return _ifns(raw), IFNRows(simplex_rows(_rows(raw)))
+
+
+@st.composite
+def sequences(draw, min_size=1, max_size=40):
+    raw = draw(st.lists(pairs, min_size=min_size, max_size=max_size))
+    p = draw(st.lists(st.floats(0.05, 2.0), min_size=len(raw), max_size=len(raw)))
+    return raw, WeightSequence(p)
+
+
+# Sequences that settle around a limit, so that the component test passes
+# often enough for the sandwich cross-check to run.
+@st.composite
+def settling_sequences(draw):
+    mu = draw(st.floats(0.05, 0.75))
+    nu = draw(st.floats(0.05, 0.85 - mu))
+    length = draw(st.integers(2, 40))
+    scale = draw(st.sampled_from([1e-7, 1e-4, 9e-4, 1e-3, 2e-3, 0.05]))
+    jitter = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                           min_size=length, max_size=length))
+    raw = [(mu + scale * a, nu + scale * b) for a, b in jitter]
+    tol = draw(st.sampled_from([1e-3, 2e-3, 1e-2]))
+    start = draw(st.integers(0, length - 1))
+    return raw, IFN(mu, nu), tol, TailWindow(start, length - 1)
+
+
+HYPOTHESIS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestSimplexRows:
+    @HYPOTHESIS
+    @given(st.lists(raw_pairs, max_size=30))
+    def test_matches_ifn_per_column(self, raw):
+        expected = _outcome(lambda: [IFN(m, v) for m, v in raw])
+        rows = _rows(raw)
+        assert _outcome(lambda: list(IFNRows(simplex_rows(rows)))) == expected
+        assert _outcome(lambda: list(IFNRows(as_rows(rows)))) == expected
+
+    def test_view_boxes_the_stored_pair(self):
+        a = IFN(*RENORMALIZED_PAIR)
+        assert a.mu + a.nu > 1.0
+        assert IFN(a.mu, a.nu) != a  # normalization is not idempotent
+        view = IFNRows(simplex_rows(_rows([RENORMALIZED_PAIR])))
+        assert _hex(view[0]) == _hex(a)
+
+    def test_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            as_rows(np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            as_rows(np.zeros((3, 2)))
+
+
+class TestIFNRowsView:
+    def test_sequence_protocol(self):
+        raw = [(0.1, 0.2), (0.3, 0.4), (0.5, -0.0)]
+        objs, view = _inputs(raw)
+        assert len(view) == 3
+        assert view[1] == objs[1] and view[-1] == objs[-1]
+        assert _hex(view[-1]) == _hex(objs[-1])
+        assert view[1:] == objs[1:] and len(view[::2]) == 2
+        assert list(view) == objs and view == objs and objs == view
+        assert view != objs[:2] and view != [objs[0], objs[1], IFN(0.5, 0.1)]
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_read_only(self):
+        rows = simplex_rows(np.array([[0.1, 0.3], [0.2, 0.4]]))
+        view = IFNRows(rows)
+        with pytest.raises(ValueError):
+            view.rows[0, 0] = 0.9
+        rows[0, 0] = 0.9  # the caller's array stays writable
+        assert view[0].mu == 0.9
+
+    def test_as_rows(self):
+        objs, view = _inputs([(0.1, 0.2), (0.3, 0.4)])
+        assert as_rows(view) is view.rows
+        np.testing.assert_array_equal(as_rows(objs), view.rows)
+        assert as_rows([]).shape == (2, 0)
+
+
+class TestDuality:
+    @HYPOTHESIS
+    @given(pairs, pairs, st.floats(0.0, 6.0))
+    def test_multiply_and_power_bits(self, p, q, c):
+        a, b = _ifns([p, q])
+        assert _outcome(multiply, a, b) == _outcome(support.multiply_oracle, a, b)
+        assert _outcome(power, a, c) == _outcome(support.power_oracle, a, c)
+        assert _outcome(power, a, 1.0) == _outcome(support.power_oracle, a, 1.0)
+
+    def test_power_keeps_its_messages(self):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            power(IFN(0.5, 0.3), -1.0)
+        with pytest.raises(ValueError, match="power needs mu > 0 and nu < 1"):
+            power(IFN(0.0, 0.5), 2.0)
+
+
+class TestRowsMatchObjects:
+    @HYPOTHESIS
+    @given(sequences())
+    def test_means(self, case):
+        raw, w = case
+        objs, view = _inputs(raw)
+        for fn, oracle in ((ifwa_means, support.ifwa_means_oracle),
+                           (ifwg_means, support.ifwg_means_oracle)):
+            expected = _outcome(oracle, objs, w)
+            assert _outcome(fn, objs, w) == expected
+            assert _outcome(fn, view, w) == expected
+
+    @HYPOTHESIS
+    @given(settling_sequences(), st.sampled_from([1e-3, 0.02, 0.3, 1.0]))
+    def test_checks_and_sandwiches(self, case, eps):
+        raw, xi, tol, window = case
+        objs, view = _inputs(raw)
+        checks = [
+            (oplus_convergence_check, support.oplus_convergence_oracle, (xi, tol, window)),
+            (otimes_convergence_check, support.otimes_convergence_oracle, (xi, tol, window)),
+            (oplus_sandwich_holds, support.oplus_sandwich_oracle, (xi, eps, window)),
+            (otimes_sandwich_holds, support.otimes_sandwich_oracle, (xi, eps, window)),
+        ]
+        for fn, oracle, args in checks:
+            expected = _outcome(oracle, objs, *args)
+            assert _outcome(fn, objs, *args) == expected
+            assert _outcome(fn, view, *args) == expected
+
+    @HYPOTHESIS
+    @given(settling_sequences())
+    def test_verdicts(self, case):
+        raw, xi, tol, window = case
+        objs, view = _inputs(raw)
+        w = WeightSequence.harmonic(len(raw))
+        for fn, oracle in ((np_oplus_verdict, support.np_oplus_verdict_oracle),
+                           (gp_otimes_verdict, support.gp_otimes_verdict_oracle)):
+            expected = _outcome(oracle, objs, w, xi, tol, window)
+            assert _outcome(fn, objs, w, xi, tol, window) == expected
+            assert _outcome(fn, view, w, xi, tol, window) == expected
+
+    @HYPOTHESIS
+    @given(sequences(min_size=3), st.sampled_from(["oplus", "otimes"]))
+    def test_tauber_report(self, case, mode):
+        raw, w = case
+        objs, view = _inputs(raw)
+        grid = LambdaGrid.of([0.5, 0.9, 1.1, 1.5])
+        expected = _outcome(support.ifn_tauber_report_oracle, objs, w, grid, None, mode)
+        assert _outcome(ifn_tauber_report, objs, w, grid, None, mode) == expected
+        assert _outcome(ifn_tauber_report, view, w, grid, None, mode) == expected
+
+
+MALFORMED_LINES = [
+    "abc", "0.5", "0.1,0.2,0.3", "0.5,x", ",", "0.1,", "nan,0.2", "0.7,0.5",
+    "-1e-13,0.5", "-1e-11,0.5", "1e400,0", "0.3 , 0.4", "1_0e-1,0.2",
+]
+
+
+def _line(pair):
+    return f"{pair[0]!r},{pair[1]!r}"
+
+
+class TestReaderMatchesPerLine:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(pairs.map(_line), st.sampled_from(["", "  "] + MALFORMED_LINES)),
+                    max_size=25))
+    def test_same_pairs_or_same_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("ifn") / "seq.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(support.read_ifn_sequence_oracle, path)
+        assert _outcome(read_ifn_sequence, path) == expected

@@ -5,9 +5,9 @@
 BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
-file, both IFN modes and `--format csv`) runs once under each tree in
-the same scratch directory, with `--no-timestamp` wherever a report is
-written. The exit code, stdout and every output file must match byte for
+file, both IFN modes and `--format csv`, and IFN files on the simplex
+boundary in both modes) runs once under each tree in the same scratch
+directory, with `--no-timestamp` wherever a report is written. The exit code, stdout and every output file must match byte for
 byte. Each `--bench-seed` adds the three benchmark workloads of
 `perfbench/workloads.py` at full size for that seed.
 
@@ -51,6 +51,35 @@ def _inputs(workdir: Path) -> None:
         nu = 0.5 + 0.05 * rng.random()
         pairs.append(f"{mu!r},{nu!r}\n")
     (workdir / "seq_ifn.txt").write_text("".join(pairs))
+    for name, lines in _ifn_boundary_files(rng).items():
+        (workdir / name).write_text("".join(f"{ln}\n" for ln in lines))
+
+
+# IFN files on the edge of the simplex. "over": pairs with mu + nu in
+# (1, 1 + 1e-12], which IFN() divides by mu + nu. "zero-nu"/"zero-mu": a
+# -0.0 and a -1e-13 component, clamped to -0.0 and 0.0; each file runs
+# in the mode that needs that component positive (exit 3) and in the one
+# that does not (its CSV shows the clamped values). "malformed": a line
+# that is not a pair (exit 2).
+IFN_BOUNDARY_FILES = ("ifn_over.txt", "ifn_zero_nu.txt", "ifn_zero_mu.txt", "ifn_malformed.txt")
+
+
+def _ifn_boundary_files(rng: random.Random) -> dict[str, list[str]]:
+    def pair(mu: float, nu: float) -> str:
+        return f"{mu!r},{nu!r}"
+
+    inner = [pair(0.2 + 0.05 * rng.random(), 0.5 + 0.05 * rng.random()) for _ in range(600)]
+    over = []
+    for _ in range(600):
+        mu = 0.2 + 0.05 * rng.random()
+        over.append(pair(mu, 1.0 - mu + 1e-12 * rng.random()))
+    mixed = [ln for ab in zip(inner, over) for ln in ab]
+    return {
+        "ifn_over.txt": mixed,
+        "ifn_zero_nu.txt": inner[:300] + ["0.25,-0.0", "0.3,-1e-13"] + inner[300:],
+        "ifn_zero_mu.txt": inner[:300] + ["-0.0,0.7", "-1e-13,0.65"] + inner[300:],
+        "ifn_malformed.txt": inner[:300] + ["0.25;0.5"] + inner[300:],
+    }
 
 
 def small_cases() -> list[tuple[list[str], list[str]]]:
@@ -83,6 +112,13 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
         (["ifn-analyze", "--in", "seq_ifn.txt", "--mode", "otimes", "--format", "csv",
           "--out", "i.csv", NO_TS], ["i.csv", "i.csv.json"]),
     ]
+    for name in IFN_BOUNDARY_FILES:
+        for mode in ("oplus", "otimes"):
+            cases.append((
+                ["ifn-analyze", "--in", name, "--mode", mode, "--lambda-grid", "0.99,1.01",
+                 "--format", "csv", "--out", "b.csv", NO_TS],
+                ["b.csv", "b.csv.json"],
+            ))
     return cases
 
 
