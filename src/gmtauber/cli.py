@@ -415,7 +415,13 @@ def run_ifn(config: RunConfig) -> RunResult:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as strict JSON: a non-finite float raises ValueError
+    instead of writing a bare NaN or Infinity token."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"bare {token} is not JSON")
 
 
 def _emit(result: RunResult, config: RunConfig) -> None:
@@ -467,7 +473,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_thresholds(command: str, tol: float, theta: float) -> None:
+    """--tol is a multiplicative tolerance (> 1) for analyze and an
+    absolute one on mu and nu (> 0) for ifn-analyze; --theta bounds the
+    condition estimates (>= 1). Both must be finite."""
+    least = 1.0 if command == "analyze" else 0.0
+    if not (math.isfinite(tol) and tol > least):
+        raise ConfigError(
+            f"--tol must be a finite real > {least:g} for {command}, got {tol!r}"
+        )
+    if not (math.isfinite(theta) and theta >= 1.0):
+        raise ConfigError(f"--theta must be a finite real >= 1, got {theta!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    _check_thresholds(args.command, args.tol, args.theta)
     return RunConfig(
         command=args.command,
         generator=args.generator,
@@ -513,10 +533,10 @@ def _summary_lines(doc: dict) -> list[str]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.infile).read_text())
+        doc = json.loads(Path(args.infile).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read report {args.infile}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"report {args.infile} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(

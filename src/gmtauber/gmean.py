@@ -5,9 +5,16 @@ w_n = (prod_{k<=n} u_k^{p_k})^(1/P_n), i.e. log w_n is the p-weighted
 running average of log u_k. Cancellation-heavy inputs (alternating logs
 of size n) are the normal case here, so prefix sums are carried in
 extended precision.
+
+Every quantity of a run reduces to the prefix sums S_n = sum p_k log u_k
+and P_n. _prefix_sums builds S, in place, as the one full-length
+longdouble array; P stays the float64 WeightSequence.P and is widened to
+longdouble only where it meets S: in _log_means, the buffered division
+that gives the float64 log-means, and in tauber's condition curves.
 """
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -73,17 +80,28 @@ class GeoMeanState:
         return LogReal(self.L / self.P)
 
 
-def _weighted_prefixes(
-    log_u: np.ndarray, w: WeightSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """S_n = sum_{k<=n} p_k log u_k and P_n, in extended precision; the
-    log-means are S / P rounded to float64."""
-    if len(w) < log_u.size:
+def _prefix_sums(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """S_n = sum_{k<=n} p_k log u_k in longdouble, built in place (p
+    widened, times the float64 logs, cumsum into itself): 16 bytes per
+    element and no other full-length temporary."""
+    n = log_u.size
+    if len(w) < n:
         raise ValueError(
-            f"weights of length {len(w)} are shorter than the sequence ({log_u.size})"
+            f"weights of length {len(w)} are shorter than the sequence ({n})"
         )
-    S = np.cumsum(w.p[: log_u.size].astype(np.longdouble) * log_u.astype(np.longdouble))
-    return S, w.P[: log_u.size].astype(np.longdouble)
+    S = w.p[:n].astype(np.longdouble)
+    S *= log_u
+    np.cumsum(S, out=S)
+    return S
+
+
+def _log_means(S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The float64 log-means S_n / P_n, divided in longdouble through
+    numpy's buffered loop: P is widened a buffer at a time, and no
+    full-length longdouble quotient exists."""
+    means = np.empty(S.size, dtype=np.float64)
+    np.divide(S, P, out=means, dtype=np.longdouble)
+    return means
 
 
 def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
@@ -91,8 +109,7 @@ def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
     log_u = np.asarray(log_u, dtype=np.float64)
     if log_u.size == 0:
         raise ValueError("cannot transform an empty sequence")
-    S, P = _weighted_prefixes(log_u, w)
-    return (S / P).astype(np.float64)
+    return _log_means(_prefix_sums(log_u, w), w.P[: log_u.size])
 
 
 def weighted_geo_means(
@@ -119,6 +136,17 @@ def gbar_verdict(
     estimate = LogReal(float(log_means[window.end_index]))
     passed = star_converges_to(log_means, estimate, tol, window)
     return Verdict(passed=passed, limit=estimate, window=window, tolerance=tol.value)
+
+
+def _prefix_gbar_verdict(
+    S: np.ndarray, P: np.ndarray, tol: MTolerance, window: TailWindow
+) -> Verdict:
+    """gbar_verdict on prefix sums, dividing only the window's log-means
+    (as _log_means does), so no full-length means array is built."""
+    window.check_fits(S.size)
+    lo, hi = window.start_index, window.end_index + 1
+    block = _log_means(S[lo:hi], P[lo:hi])
+    return replace(gbar_verdict(block, tol, TailWindow(0, hi - lo - 1)), window=window)
 
 
 def gbar_limit_estimate(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs, resolve_window
 from .weights import LambdaGrid, WeightSequence
-from .gmean import _weighted_prefixes, gbar_verdict
+from .gmean import _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [
     "TauberReport",
@@ -161,8 +161,7 @@ def tauber_condition_curve(
         raise ValueError("side must be 1 or 2")
     x = as_logs(u)
     window.check_fits(x.size)
-    S, P = _weighted_prefixes(x, w)
-    return _condition_curve(x, S, P, grid, window, side)
+    return _condition_curve(x, _prefix_sums(x, w), w.P[: x.size], grid, window, side)
 
 
 def _condition_curve(
@@ -173,7 +172,11 @@ def _condition_curve(
     window: TailWindow,
     side: int,
 ) -> dict[float, float]:
+    """tauber_condition_curve on the longdouble S and the float64 P.
+    P meets S only at the gathered window values: P_n is widened to
+    longdouble once, and P_{lambda_n} by the subtraction from it."""
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
+    P_ns = P[ns].astype(np.longdouble)
     branch = grid.above_one if side == 1 else grid.below_one
     curve: dict[float, float] = {}
     for lam in branch:
@@ -181,10 +184,10 @@ def _condition_curve(
             _check_lambda_bounds(lam, window, x.size)
         lns = np.floor(lam * ns).astype(np.int64)
         if side == 1:
-            dP = P[lns] - P[ns]
+            dP = P[lns] - P_ns
             numer = np.abs((S[lns] - S[ns]) - dP * x[ns])
         else:
-            dP = P[ns] - P[lns]
+            dP = P_ns - P[lns]
             numer = np.abs(dP * x[ns] - (S[ns] - S[lns]))
         valid = dP > 0
         if not np.any(valid):
@@ -321,8 +324,10 @@ def recoverability_report(
     range usable under the grid (all lambda_n in bounds); an explicit
     window is used as given and must satisfy the bounds itself.
 
-    The prefix sums S and P are built once and shared by the mean
-    verdict and both condition curves.
+    The prefix sums S (gmean._prefix_sums) are built once and shared by
+    the mean verdict, which divides only the window's log-means, and
+    both condition curves; S is dropped before the slow-oscillation
+    curves, whose window transient is the report's other large one.
     """
     x = as_logs(u)
     if grid is None:
@@ -332,11 +337,12 @@ def recoverability_report(
     if window is None:
         window = default_report_window(x.size, grid)
 
-    S, P = _weighted_prefixes(x, w)
-    gbar = gbar_verdict((S / P).astype(np.float64), thresholds.gbar_tol, window)
+    S, P = _prefix_sums(x, w), w.P[: x.size]
+    gbar = _prefix_gbar_verdict(S, P, thresholds.gbar_tol, window)
 
     con1_curve = _condition_curve(x, S, P, grid, window, side=1)
     con2_curve = _condition_curve(x, S, P, grid, window, side=2)
+    del S
     so_fwd = slow_oscillation_curve(x, grid, window, backward=False)
     so_back = slow_oscillation_curve(x, grid, window, backward=True)
     con1 = min(con1_curve.values()) if con1_curve else math.inf

@@ -4,7 +4,8 @@ slow-oscillation loop kept as the oracle for the vectorized one, the
 per-element sequence generators and per-line file readers kept as
 oracles for the array ones, and the object-level IFN means, checks,
 sandwiches and component report kept as oracles for the (2, N) row
-ones."""
+ones, and the full-length longdouble prefix-sum formulas kept as
+oracles for the in-place build in gmean."""
 
 import math
 import warnings
@@ -24,11 +25,11 @@ from gmtauber.ifn import (
     power,
     scalar_mul,
 )
-from gmtauber.gmean import transform_log_values
+from gmtauber.gmean import gbar_verdict, transform_log_values
 from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
-from gmtauber.mcore import LogReal, TailWindow, Verdict, log_array
+from gmtauber.mcore import LogReal, MTolerance, TailWindow, Verdict, log_array
 from gmtauber.tauber import _check_lambda_bounds, _safe_exp, recoverability_report
-from gmtauber.weights import LambdaGrid
+from gmtauber.weights import LambdaGrid, WeightSequence
 
 
 def fold_ifwa(seq, p_values, n):
@@ -96,6 +97,66 @@ def slow_oscillation_curve_oracle(
         if worst > -math.inf:
             curve[lam] = _safe_exp(worst)
     return curve
+
+
+# Prefix sums the straightforward way, with every full-length array in
+# extended precision: the oracles for gmean's in-place S and buffered
+# divide.
+
+
+def longdouble_prefixes(x: np.ndarray, w: WeightSequence) -> tuple[np.ndarray, np.ndarray]:
+    n = x.size
+    S = np.cumsum(w.p[:n].astype(np.longdouble) * x.astype(np.longdouble))
+    return S, w.P[:n].astype(np.longdouble)
+
+
+def transform_log_values_oracle(x: np.ndarray, w: WeightSequence) -> np.ndarray:
+    """log w_n = S_n / P_n as a full-length longdouble quotient, rounded."""
+    S, P = longdouble_prefixes(x, w)
+    return (S / P).astype(np.float64)
+
+
+def condition_curve_oracle(
+    x: np.ndarray,
+    S: np.ndarray,
+    P: np.ndarray,
+    grid: LambdaGrid,
+    window: TailWindow,
+    side: int,
+) -> dict[float, float]:
+    """tauber_condition_curve on full-length longdouble S and P."""
+    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
+    branch = grid.above_one if side == 1 else grid.below_one
+    curve: dict[float, float] = {}
+    for lam in branch:
+        if side == 1:
+            _check_lambda_bounds(lam, window, x.size)
+        lns = np.floor(lam * ns).astype(np.int64)
+        if side == 1:
+            dP = P[lns] - P[ns]
+            numer = np.abs((S[lns] - S[ns]) - dP * x[ns])
+        else:
+            dP = P[ns] - P[lns]
+            numer = np.abs(dP * x[ns] - (S[ns] - S[lns]))
+        valid = dP > 0
+        if not np.any(valid):
+            continue
+        curve[lam] = _safe_exp(float(np.max(numer[valid] / dP[valid])))
+    return curve
+
+
+def report_prefix_fields_oracle(
+    x: np.ndarray, w: WeightSequence, grid: LambdaGrid, window: TailWindow, tol: MTolerance
+) -> tuple[Verdict, dict[float, float], dict[float, float]]:
+    """The fields of recoverability_report that the prefix sums feed: the
+    gbar verdict and the con1 and con2 curves. The rest of the report
+    does not read S or P."""
+    S, P = longdouble_prefixes(x, w)
+    return (
+        gbar_verdict(transform_log_values_oracle(x, w), tol, window),
+        condition_curve_oracle(x, S, P, grid, window, 1),
+        condition_curve_oracle(x, S, P, grid, window, 2),
+    )
 
 
 # Per-element generators: the straightforward form of the vectorized

@@ -1,10 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from gmtauber.cli import main
+from gmtauber.cli import dumps_document, main
 from gmtauber.tauber import default_report_window
 from gmtauber.weights import LambdaGrid
 
@@ -319,6 +320,80 @@ class TestConfigErrors:
         f.write_text(text)
         assert run_cli(command, "--in", str(f)) == 2
         assert str(f) in capsys.readouterr().err
+
+
+class TestThresholdFlags:
+    """--tol and --theta are configuration: a value outside their range
+    exits 2 naming the flag instead of failing later (exit 3) or being
+    written into the report as a bare NaN or Infinity token."""
+
+    GENERATOR = {"analyze": "ex2", "ifn-analyze": "ex3-ifn"}
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("analyze", "--tol", "0"),
+            ("analyze", "--tol", "-1"),
+            ("analyze", "--tol", "1"),
+            ("analyze", "--tol", "nan"),
+            ("analyze", "--tol", "inf"),
+            ("analyze", "--theta", "-1"),
+            ("analyze", "--theta", "0.5"),
+            ("analyze", "--theta", "nan"),
+            ("analyze", "--theta", "inf"),
+            ("ifn-analyze", "--tol", "0"),
+            ("ifn-analyze", "--tol", "-1"),
+            ("ifn-analyze", "--tol", "nan"),
+            ("ifn-analyze", "--tol", "inf"),
+            ("ifn-analyze", "--theta", "-1"),
+            ("ifn-analyze", "--theta", "nan"),
+            ("ifn-analyze", "--theta", "inf"),
+        ],
+    )
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "r.json"
+        code = run_cli(
+            command, "--generator", self.GENERATOR[command], "--n-max", "200",
+            flag, value, "--no-timestamp", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be a finite real")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("analyze", ("--tol", "1.000001", "--theta", "1")),
+            ("ifn-analyze", ("--tol", "1e-9", "--theta", "1")),
+            ("ifn-analyze", ("--tol", "2.5", "--theta", "1e6")),
+        ],
+    )
+    def test_edge_values_accepted(self, tmp_path, command, flags):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            command, "--generator", self.GENERATOR[command], "--n-max", "200",
+            *flags, "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        assert doc["config"]["tol"] == float(flags[1])
+        assert doc["config"]["theta"] == float(flags[3])
+
+    def test_documents_are_strict_json(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                dumps_document({"tol": bad})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_report_rejects_non_json_constants(self, tmp_path, capsys, token):
+        doc_path = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "200",
+            "--no-timestamp", "--out", str(doc_path),
+        ) == 0
+        doc_path.write_text(doc_path.read_text().replace('"theta": 1.05', f'"theta": {token}'))
+        assert token in doc_path.read_text()
+        assert run_cli("report", "--in", str(doc_path)) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestGenerateCommand:

@@ -5,11 +5,13 @@
 BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
-file, both IFN modes and `--format csv`, and IFN files on the simplex
-boundary in both modes) runs once under each tree in the same scratch
-directory, with `--no-timestamp` wherever a report is written. The exit code, stdout and every output file must match byte for
-byte. Each `--bench-seed` adds the three benchmark workloads of
-`perfbench/workloads.py` at full size for that seed.
+file, both IFN modes and `--format csv`, `analyze --format csv` at
+50001 indices, and IFN files on the simplex boundary in both modes)
+runs once under each tree in the same scratch directory, with
+`--no-timestamp` wherever a report is written. The exit code, stdout
+and every output file must match byte for byte. Each `--bench-seed`
+adds the three benchmark workloads of `perfbench/workloads.py` at full
+size for that seed.
 
 Exit status: 0 when everything matches, 1 naming the first command and
 the byte offset that differ, 2 on a usage error.
@@ -104,6 +106,16 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "--out", "r.csv", NO_TS], ["r.csv", "r.csv.json"]),
         (["analyze", "--in", "seq_log.txt", "--format", "json", "--out", "r.json", NO_TS],
          ["r.json"]),
+    ]
+    # log_w columns long enough to span several of numpy's 8192-element
+    # ufunc buffers, so the buffered longdouble divide is compared too.
+    for g in ("ex1", "ex2"):
+        cases.append((
+            ["analyze", "--generator", g, "--weights", ANALYZE_WEIGHTS[g],
+             "--n-max", "50000", "--format", "csv", "--out", "long.csv", NO_TS],
+            ["long.csv", "long.csv.json"],
+        ))
+    cases += [
         (["ifn-analyze", "--generator", "ex3-ifn", "--n-max", "600", NO_TS], []),
         (["ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
           "--n-max", "600", "--mode", "otimes", NO_TS], []),
