@@ -18,15 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict
-from .weights import LambdaGrid, SvaPlusEstimate, WeightSequence, sva_plus_estimate
-from .gmean import gbar_verdict, transform_log_values
-from .tauber import (
-    ReportThresholds,
-    TauberReport,
+from .weights import (
+    LambdaGrid,
+    SvaPlusEstimate,
+    WeightSequence,
     default_report_window,
-    recoverability_report,
+    sva_plus_estimate,
     usable_end,
 )
+from .gmean import gbar_verdict, transform_log_values
+from .tauber import ReportThresholds, TauberReport, recoverability_report
 from .ifn import (
     IFN,
     IFNRows,
@@ -388,7 +389,8 @@ def run_ifn(config: RunConfig) -> RunResult:
     verdict = mean_verdict(means, check, xi_hat, config.tol, verdict_window)
     plain = check(seq, xi_hat, config.tol, verdict_window)
 
-    tauber = ifn_tauber_report(seq, w, grid, tauber_window, mode=mode)
+    thresholds = ReportThresholds(theta=config.theta)
+    tauber = ifn_tauber_report(seq, w, grid, tauber_window, mode, thresholds)
     sva = sva_plus_estimate(w, grid, tauber_window)
 
     doc = _base_document(config, "ifn", len(seq), source)

@@ -554,42 +554,37 @@ def otimes_convergence_check(
     return _oplus_converges(block, _swap(xi), tol, "multiplicative")
 
 
-def _first_not_below_mul_identity(rows: np.ndarray) -> int | None:
-    outside = ~((rows[0] < 1.0) & (rows[1] > 0.0))
-    return int(np.argmax(outside)) if outside.any() else None
-
-
-def _require_all_below_mul_identity(rows: np.ndarray) -> None:
-    k = _first_not_below_mul_identity(rows)
-    if k is not None:
+def _oplus_logs(rows: np.ndarray, swap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 - mu) and log(nu), the real sequences behind the additive
+    mean, of the rows or, when `swap`, of (sigma a_n). Every element must
+    lie <_L (1, 0) after the swap; the first that does not is named
+    unswapped."""
+    mu, nu = rows[::-1] if swap else rows
+    outside = ~((mu < 1.0) & (nu > 0.0))
+    if outside.any():
+        k = int(np.argmax(outside))
+        mean, need = (
+            ("geometric", "mu > 0 and nu < 1") if swap else ("additive", "mu < 1 and nu > 0")
+        )
         raise ValueError(
             f"element {k} = {_box(*rows[:, k].tolist())} violates the "
-            "additive-mean assumption (needs mu < 1 and nu > 0)"
+            f"{mean}-mean assumption (needs {need})"
         )
+    return np.log(1.0 - mu), np.log(nu)
 
 
-def _require_all_above_add_identity(rows: np.ndarray) -> None:
-    k = _first_not_below_mul_identity(rows[::-1])
-    if k is not None:
-        raise ValueError(
-            f"element {k} = {_box(*rows[:, k].tolist())} violates the "
-            "geometric-mean assumption (needs mu > 0 and nu < 1)"
-        )
-
-
-def _oplus_component_logs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 - mu) and log(nu): the real sequences behind the additive mean."""
-    return np.log(1.0 - rows[0]), np.log(rows[1])
-
-
-def _oplus_mean_rows(rows: np.ndarray, w: WeightSequence) -> np.ndarray:
-    """t_n = (1 - W(1-mu)_n, W(nu)_n) for rows of elements <_L (1, 0),
-    not yet normalized: the caller normalizes in its own (mu, nu) order,
+def _oplus_means(seq: Sequence[IFN], w: WeightSequence, swap: bool) -> IFNRows:
+    """t_n = (1 - W(1-mu)_n, W(nu)_n) of the rows, or of (sigma a_n)
+    swapped back when `swap`; normalized in the caller's (mu, nu) order,
     so that an IFN error shows the pair unswapped."""
-    one_minus_mu, nu = _oplus_component_logs(rows)
-    w_mu = np.exp(transform_log_values(one_minus_mu, w))
-    w_nu = np.exp(transform_log_values(nu, w))
-    return np.stack([1.0 - w_mu, w_nu])
+    rows = as_rows(seq)
+    if rows.shape[1] == 0:
+        raise ValueError("cannot average an empty sequence")
+    means = np.stack(_oplus_logs(rows, swap))
+    for row in means:
+        np.exp(transform_log_values(row, w), out=row)
+    np.subtract(1.0, means[0], out=means[0])
+    return IFNRows(simplex_rows(means[::-1] if swap else means))
 
 
 def ifwa_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
@@ -598,11 +593,7 @@ def ifwa_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
     Closed form: t_n = (1 - W(1-mu)_n, W(nu)_n) with W the weighted
     geometric mean transform. Requires every element <_L (1, 0).
     """
-    rows = as_rows(seq)
-    if rows.shape[1] == 0:
-        raise ValueError("cannot average an empty sequence")
-    _require_all_below_mul_identity(rows)
-    return IFNRows(simplex_rows(_oplus_mean_rows(rows, w)))
+    return _oplus_means(seq, w, swap=False)
 
 
 def ifwg_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
@@ -611,11 +602,7 @@ def ifwg_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
     Closed form: h_n = (W(mu)_n, 1 - W(1-nu)_n), the averaging means of
     (sigma a_k) swapped back. Requires every element >_L (0, 1).
     """
-    rows = as_rows(seq)
-    if rows.shape[1] == 0:
-        raise ValueError("cannot average an empty sequence")
-    _require_all_above_add_identity(rows)
-    return IFNRows(simplex_rows(_oplus_mean_rows(rows[::-1], w)[::-1]))
+    return _oplus_means(seq, w, swap=True)
 
 
 def mean_verdict(
@@ -687,17 +674,12 @@ def ifn_tauber_report(
     forms take logs of these components).
     """
     rows = as_rows(seq)
-    if mode == "oplus":
-        _require_all_below_mul_identity(rows)
-        labels = ("one_minus_mu", "nu")
-        first, second = _oplus_component_logs(rows)
-    elif mode == "otimes":
-        _require_all_above_add_identity(rows)
-        labels = ("mu", "one_minus_nu")
-        second, first = _oplus_component_logs(rows[::-1])
-    else:
+    if mode not in ("oplus", "otimes"):
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
-
+    swap = mode == "otimes"
+    logs = _oplus_logs(rows, swap)
+    first, second = logs[::-1] if swap else logs
+    labels = ("mu", "one_minus_nu") if swap else ("one_minus_mu", "nu")
     rep1 = recoverability_report(first, w, grid, window, thresholds)
     rep2 = recoverability_report(second, w, grid, window, thresholds)
     return IFNTauberReport(

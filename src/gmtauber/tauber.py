@@ -6,16 +6,20 @@ asymptotic definitions: liminf over lambda becomes a min over a
 LambdaGrid branch, limsup over n becomes a max over a TailWindow. The
 report keeps the raw per-lambda curves so the trend stays visible, not
 just the scalar.
+
+Windows follow the lambda-window policy in `weights`: an omitted window
+is `default_report_window`, in the report and in every estimate.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs, resolve_window
-from .weights import LambdaGrid, WeightSequence
+from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
+from .weights import LambdaGrid, WeightSequence, _lambda_blocks
+from .weights import default_report_window, usable_end  # noqa: F401 (re-exported)
 from .gmean import _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [
@@ -36,13 +40,31 @@ def _safe_exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _check_lambda_bounds(lam: float, window: TailWindow, length: int) -> None:
-    top = math.floor(lam * window.end_index)
-    if top >= length:
-        raise ValueError(
-            f"lambda index floor({lam} * {window.end_index}) = {top} exceeds "
-            f"the materialized sequence length {length}"
-        )
+_NO_USABLE_PAIR = (
+    "no (lambda, n) pair was usable: the partial sums never move "
+    "across any block (degenerate weights or one-sided grid)"
+)
+
+
+def _branch_min(
+    curve: Callable[..., dict[float, float]],
+    x: np.ndarray,
+    grid: LambdaGrid | None,
+    window: TailWindow | None,
+    empty: str,
+    **kwargs,
+) -> float:
+    """Min over the lambdas of curve(x, grid=grid, window=window, **kwargs),
+    with the grid and the window defaulting as in the report;
+    ValueError(empty) if the curve has no lambda."""
+    if grid is None:
+        grid = LambdaGrid.default()
+    if window is None:
+        window = default_report_window(x.size, grid)
+    values = curve(x, grid=grid, window=window, **kwargs).values()
+    if not values:
+        raise ValueError(empty)
+    return min(values)
 
 
 def _range_reduce(
@@ -94,13 +116,9 @@ def slow_oscillation_curve(
     """
     x = as_logs(u)
     window.check_fits(x.size)
-    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     branch = grid.below_one if backward else grid.above_one
     curve: dict[float, float] = {}
-    for lam in branch:
-        if not backward:
-            _check_lambda_bounds(lam, window, x.size)
-        lns = np.floor(lam * ns).astype(np.int64)
+    for lam, ns, lns in _lambda_blocks(branch, window, x.size):
         lo, hi = (lns + 1, ns) if backward else (ns + 1, lns)
         keep = hi >= lo
         if not keep.any():
@@ -128,18 +146,17 @@ def slow_oscillation_estimate(
     """Min over the lambda branch of the per-lambda block-ratio maxima.
 
     A value of 1 means the window evidence is consistent with the
-    in-block ratios flattening out as lambda approaches 1.
+    in-block ratios flattening out as lambda approaches 1. `window`
+    defaults to default_report_window.
     """
-    x = as_logs(u)
-    if grid is None:
-        grid = LambdaGrid.default()
-    window = resolve_window(window, x.size)
-    curve = slow_oscillation_curve(x, grid, window, backward=backward)
-    if not curve:
-        raise ValueError(
-            "every lambda in the grid had an empty block range for this window"
-        )
-    return min(curve.values())
+    return _branch_min(
+        slow_oscillation_curve,
+        as_logs(u),
+        grid,
+        window,
+        "every lambda in the grid had an empty block range for this window",
+        backward=backward,
+    )
 
 
 def tauber_condition_curve(
@@ -174,15 +191,11 @@ def _condition_curve(
 ) -> dict[float, float]:
     """tauber_condition_curve on the longdouble S and the float64 P.
     P meets S only at the gathered window values: P_n is widened to
-    longdouble once, and P_{lambda_n} by the subtraction from it."""
-    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
-    P_ns = P[ns].astype(np.longdouble)
+    longdouble, and P_{lambda_n} by the subtraction from it."""
     branch = grid.above_one if side == 1 else grid.below_one
     curve: dict[float, float] = {}
-    for lam in branch:
-        if side == 1:
-            _check_lambda_bounds(lam, window, x.size)
-        lns = np.floor(lam * ns).astype(np.int64)
+    for lam, ns, lns in _lambda_blocks(branch, window, x.size):
+        P_ns = P[ns].astype(np.longdouble)
         if side == 1:
             dP = P[lns] - P_ns
             numer = np.abs((S[lns] - S[ns]) - dP * x[ns])
@@ -196,27 +209,17 @@ def _condition_curve(
     return curve
 
 
-def _condition_estimate(curve: dict[float, float]) -> float:
-    if not curve:
-        raise ValueError(
-            "no (lambda, n) pair was usable: the partial sums never move "
-            "across any block (degenerate weights or one-sided grid)"
-        )
-    return min(curve.values())
-
-
 def tauber_con1_estimate(
     u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
 ) -> float:
-    """Forward recovery condition estimate (lambda > 1 branch)."""
-    x = as_logs(u)
-    if grid is None:
-        grid = LambdaGrid.default()
-    window = resolve_window(window, x.size)
-    return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=1))
+    """Forward recovery condition estimate (lambda > 1 branch); `window`
+    defaults to default_report_window."""
+    return _branch_min(
+        tauber_condition_curve, as_logs(u), grid, window, _NO_USABLE_PAIR, w=w, side=1
+    )
 
 
 def tauber_con2_estimate(
@@ -225,12 +228,11 @@ def tauber_con2_estimate(
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
 ) -> float:
-    """Backward recovery condition estimate (lambda < 1 branch)."""
-    x = as_logs(u)
-    if grid is None:
-        grid = LambdaGrid.default()
-    window = resolve_window(window, x.size)
-    return _condition_estimate(tauber_condition_curve(x, w, grid, window, side=2))
+    """Backward recovery condition estimate (lambda < 1 branch); `window`
+    defaults to default_report_window."""
+    return _branch_min(
+        tauber_condition_curve, as_logs(u), grid, window, _NO_USABLE_PAIR, w=w, side=2
+    )
 
 
 def landau_estimates(
@@ -288,24 +290,6 @@ class TauberReport:
     skipped_lambdas: dict[str, tuple[float, ...]]
 
 
-def usable_end(length: int, grid: LambdaGrid) -> int:
-    """End of the usable index range: (length - 1) / max(lambda), so that
-    lambda_n = floor(lambda * n) stays inside the sequence."""
-    # min before int(): (length-1)/lambda overflows to inf for tiny lambdas.
-    return int(min(length - 1, (length - 1) / grid.max_lambda))
-
-
-def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
-    """Last half of the index range that keeps every lambda_n in bounds."""
-    end = usable_end(length, grid)
-    if end < 1:
-        raise ValueError(
-            f"sequence of length {length} is too short for lambda grid "
-            f"max {grid.max_lambda}"
-        )
-    return TailWindow(max(1, end // 2), end)
-
-
 def recoverability_report(
     u: Sequence[LogReal] | np.ndarray,
     w: WeightSequence,
@@ -320,9 +304,9 @@ def recoverability_report(
     theta. The slow-oscillation and auxiliary-ratio diagnostics are
     reported alongside as the stronger sufficient-evidence flags.
 
-    When `window` is omitted it defaults to the last half of the index
-    range usable under the grid (all lambda_n in bounds); an explicit
-    window is used as given and must satisfy the bounds itself.
+    When `window` is omitted it defaults to default_report_window (the
+    last half of the usable index range); an explicit window is used as
+    given and must satisfy the bounds itself.
 
     The prefix sums S (gmean._prefix_sums) are built once and shared by
     the mean verdict, which divides only the window's log-means, and
@@ -337,48 +321,41 @@ def recoverability_report(
     if window is None:
         window = default_report_window(x.size, grid)
 
+    up, down = grid.above_one, grid.below_one
+    branch = {"con1": up, "con2": down, "slow_osc_forward": up, "slow_osc_backward": down}
     S, P = _prefix_sums(x, w), w.P[: x.size]
     gbar = _prefix_gbar_verdict(S, P, thresholds.gbar_tol, window)
 
-    con1_curve = _condition_curve(x, S, P, grid, window, side=1)
-    con2_curve = _condition_curve(x, S, P, grid, window, side=2)
+    curves = {
+        "con1": _condition_curve(x, S, P, grid, window, side=1),
+        "con2": _condition_curve(x, S, P, grid, window, side=2),
+    }
     del S
-    so_fwd = slow_oscillation_curve(x, grid, window, backward=False)
-    so_back = slow_oscillation_curve(x, grid, window, backward=True)
-    con1 = min(con1_curve.values()) if con1_curve else math.inf
-    con2 = min(con2_curve.values()) if con2_curve else math.inf
+    curves["slow_osc_forward"] = slow_oscillation_curve(x, grid, window, backward=False)
+    curves["slow_osc_backward"] = slow_oscillation_curve(x, grid, window, backward=True)
+    est = {name: min(curve.values(), default=math.inf) for name, curve in curves.items()}
 
     landau_window = TailWindow(max(1, window.start_index), window.end_index)
     landau_bound, landau_vanish = landau_estimates(
         x, landau_window, thresholds.vanish_tol
     )
 
-    recovery = bool(gbar.passed and (con1 <= thresholds.theta or con2 <= thresholds.theta))
-
-    def _skipped(branch: tuple[float, ...], curve: dict[float, float]) -> tuple[float, ...]:
-        return tuple(lam for lam in branch if lam not in curve)
+    recovery = bool(gbar.passed and min(est["con1"], est["con2"]) <= thresholds.theta)
 
     return TauberReport(
         gbar_verdict=gbar,
-        con1_estimate=con1,
-        con2_estimate=con2,
-        slow_osc_estimate=min(so_fwd.values()) if so_fwd else math.inf,
-        slow_osc_backward_estimate=min(so_back.values()) if so_back else math.inf,
+        con1_estimate=est["con1"],
+        con2_estimate=est["con2"],
+        slow_osc_estimate=est["slow_osc_forward"],
+        slow_osc_backward_estimate=est["slow_osc_backward"],
         landau_bound_estimate=landau_bound,
         landau_vanish=landau_vanish,
         recovery_verdict=recovery,
         theta=thresholds.theta,
         window=window,
-        curves={
-            "con1": con1_curve,
-            "con2": con2_curve,
-            "slow_osc_forward": so_fwd,
-            "slow_osc_backward": so_back,
-        },
+        curves=curves,
         skipped_lambdas={
-            "con1": _skipped(grid.above_one, con1_curve),
-            "con2": _skipped(grid.below_one, con2_curve),
-            "slow_osc_forward": _skipped(grid.above_one, so_fwd),
-            "slow_osc_backward": _skipped(grid.below_one, so_back),
+            name: tuple(lam for lam in branch[name] if lam not in curve)
+            for name, curve in curves.items()
         },
     )

@@ -1,4 +1,6 @@
-"""Weight sequences p_n, their partial sums P_n, and the lambda-index map.
+"""Weight sequences p_n, their partial sums P_n, the lambda-index map,
+and the one lambda-window policy: `usable_end`, `default_report_window`
+and the block walk `_lambda_blocks` that every per-lambda estimator uses.
 
 Also hosts an empirical membership diagnostic for the class of weights
 whose partial-sum ratios P_{lambda_n}/P_n stay bounded away from 1 for
@@ -9,11 +11,11 @@ in `tauber` are necessary and sufficient).
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .mcore import TailWindow, resolve_window
+from .mcore import TailWindow
 
 __all__ = [
     "WeightSequence",
@@ -141,6 +143,42 @@ class LambdaGrid:
         return max(self.values)
 
 
+def usable_end(length: int, grid: LambdaGrid) -> int:
+    """End of the usable index range: (length - 1) / max(lambda), so that
+    lambda_n = floor(lambda * n) stays inside the sequence."""
+    # min before int(): (length-1)/lambda overflows to inf for tiny lambdas.
+    return int(min(length - 1, (length - 1) / grid.max_lambda))
+
+
+def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
+    """Last half of the index range that keeps every lambda_n in bounds."""
+    end = usable_end(length, grid)
+    if end < 1:
+        raise ValueError(
+            f"sequence of length {length} is too short for lambda grid "
+            f"max {grid.max_lambda}"
+        )
+    return TailWindow(max(1, end // 2), end)
+
+
+def _lambda_blocks(
+    lambdas: tuple[float, ...], window: TailWindow, length: int
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """(lambda, ns, lns = floor(lambda * ns)) for each lambda, with ns the
+    window's indices. Raises before yielding anything if the largest
+    lambda's last block leaves a sequence of `length`."""
+    lam = max(lambdas, default=0.0)
+    top = math.floor(lam * window.end_index)
+    if top >= length:
+        raise ValueError(
+            f"lambda index floor({lam} * {window.end_index}) = {top} exceeds "
+            f"the materialized sequence length {length}"
+        )
+    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
+    for lam in lambdas:
+        yield lam, ns, np.floor(lam * ns).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SvaPlusEstimate:
     """Per-lambda infima of |P_{lambda_n}/P_n - 1| over a window.
@@ -161,20 +199,16 @@ def sva_plus_estimate(
     window: TailWindow | None = None,
     floor: float = 1e-3,
 ) -> SvaPlusEstimate:
-    """Estimate how far the partial-sum ratios stay from 1 per lambda."""
+    """Estimate how far the partial-sum ratios stay from 1 per lambda;
+    `window` defaults to default_report_window."""
     if grid is None:
         grid = LambdaGrid.default()
-    window = resolve_window(window, len(w), "weights")
-
-    ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
-    per_lambda: dict[float, float] = {}
-    for lam in grid.values:
-        lns = np.floor(lam * ns).astype(np.int64)
-        if lns.max(initial=0) >= len(w):
-            raise ValueError(
-                f"lambda index floor({lam} * {window.end_index}) exceeds the "
-                f"materialized weight length {len(w)}"
-            )
-        per_lambda[lam] = float(np.min(np.abs(w.P[lns] / w.P[ns] - 1.0)))
+    if window is None:
+        window = default_report_window(len(w), grid)
+    window.check_fits(len(w), "weights")
+    per_lambda = {
+        lam: float(np.min(np.abs(w.P[lns] / w.P[ns] - 1.0)))
+        for lam, ns, lns in _lambda_blocks(grid.values, window, len(w))
+    }
     verdict = all(est > floor for est in per_lambda.values())
     return SvaPlusEstimate(per_lambda=per_lambda, floor=floor, verdict=verdict, window=window)

@@ -28,8 +28,19 @@ from gmtauber.ifn import (
 from gmtauber.gmean import gbar_verdict, transform_log_values
 from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, Verdict, log_array
-from gmtauber.tauber import _check_lambda_bounds, _safe_exp, recoverability_report
+from gmtauber.tauber import _safe_exp, recoverability_report
 from gmtauber.weights import LambdaGrid, WeightSequence
+
+
+def check_lambda_bounds_oracle(lam: float, window: TailWindow, length: int) -> None:
+    """The per-lambda bound check of the oracles below, kept apart from
+    the library's block walk so that the oracles stay independent."""
+    top = math.floor(lam * window.end_index)
+    if top >= length:
+        raise ValueError(
+            f"lambda index floor({lam} * {window.end_index}) = {top} exceeds "
+            f"the materialized sequence length {length}"
+        )
 
 
 def fold_ifwa(seq, p_values, n):
@@ -83,7 +94,7 @@ def slow_oscillation_curve_oracle(
     curve: dict[float, float] = {}
     for lam in branch:
         if not backward:
-            _check_lambda_bounds(lam, window, len(u))
+            check_lambda_bounds_oracle(lam, window, len(u))
         worst = -math.inf
         for n in window.indices():
             ln = math.floor(lam * n)
@@ -130,7 +141,7 @@ def condition_curve_oracle(
     curve: dict[float, float] = {}
     for lam in branch:
         if side == 1:
-            _check_lambda_bounds(lam, window, x.size)
+            check_lambda_bounds_oracle(lam, window, x.size)
         lns = np.floor(lam * ns).astype(np.int64)
         if side == 1:
             dP = P[lns] - P[ns]

@@ -225,6 +225,32 @@ class TestIfnAnalyze:
             assert comp["window"] == expect
         assert doc["analysis"]["tauber"]["recovery_verdict"] is False
 
+    def test_theta_reaches_component_reports(self, tmp_path):
+        # Constant pairs (0.2, 0.3) with nu raised by e^0.2 at one index:
+        # the nu component passes its gbar check with both condition
+        # estimates near 1.221, so its verdict turns on --theta.
+        n = 10**5
+        lines = ["0.2,0.3"] * n
+        lines[3 * n // 8] = f"0.2,{0.3 * math.exp(0.2)!r}"
+        src = tmp_path / "seq.txt"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        for theta, verdict in ((None, False), (3.0, True)):
+            flags = [] if theta is None else ["--theta", str(theta)]
+            assert run_cli(
+                "ifn-analyze", "--in", str(src), "--weights", "harmonic",
+                *flags, "--no-timestamp", "--out", str(out),
+            ) == 0
+            tauber = load(out)["analysis"]["tauber"]
+            nu = tauber["components"]["nu"]
+            assert nu["gbar_verdict"]["passed"] is True
+            assert nu["con1_estimate"] == pytest.approx(1.2214, abs=1e-4)
+            assert nu["con2_estimate"] == pytest.approx(1.2210, abs=1e-4)
+            for comp in tauber["components"].values():
+                assert comp["theta"] == (1.05 if theta is None else theta)
+            assert nu["recovery_verdict"] is verdict
+            assert tauber["recovery_verdict"] is verdict
+
     def test_precondition_failure_exits_3(self):
         # Index 0 of the drifting sequence has nu = 0: the additive mean
         # assumption fails loudly.

@@ -513,6 +513,50 @@ class TestIFNTauberReport:
         seq = [IFN(0.4, 0.3)] * 50
         with pytest.raises(ValueError):
             ifn_tauber_report(seq, WeightSequence.ones(50), mode="bogus")
+        # A malformed pair is reported before the mode.
+        with pytest.raises(ValueError, match=r"^IFN components must be finite, got \(nan, 0.3\)$"):
+            ifn_tauber_report(
+                np.array([[0.4, np.nan], [0.3, 0.3]]), WeightSequence.ones(2), mode="bogus"
+            )
+
+    @pytest.mark.parametrize(
+        "seq, expect",
+        [
+            ([], ("cannot average an empty sequence",) * 2
+             + ("sequence of length 0 is too short for lambda grid max 2.0",) * 2),
+            (np.empty((2, 0)), ("cannot average an empty sequence",) * 2
+             + ("sequence of length 0 is too short for lambda grid max 2.0",) * 2),
+            ([IFN(0.4, 0.3)] * 4 + [IFN(0.4, 0.0), IFN(0.0, 0.3)], (
+                "element 4 = IFN(0.4, 0.0) violates the additive-mean assumption "
+                "(needs mu < 1 and nu > 0)",
+                "element 5 = IFN(0.0, 0.3) violates the geometric-mean assumption "
+                "(needs mu > 0 and nu < 1)",
+            ) * 2),
+            (np.array([[0.4, 1.0, 0.0], [0.3, 0.0, 1.0]]), (
+                "element 1 = IFN(1.0, 0.0) violates the additive-mean assumption "
+                "(needs mu < 1 and nu > 0)",
+                "element 2 = IFN(0.0, 1.0) violates the geometric-mean assumption "
+                "(needs mu > 0 and nu < 1)",
+            ) * 2),
+        ],
+    )
+    def test_error_texts_per_mode(self, seq, expect):
+        # Means and component report share one oplus-domain path; each
+        # side keeps its own message, naming the pair unswapped.
+        w = WeightSequence.ones(10)
+        calls = [
+            lambda: ifwa_means(seq, w),
+            lambda: ifwg_means(seq, w),
+            lambda: ifn_tauber_report(seq, w, mode="oplus"),
+            lambda: ifn_tauber_report(seq, w, mode="otimes"),
+        ]
+        for call, text in zip(calls, expect, strict=True):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == text
+        # A bad mode is reported before the domain.
+        with pytest.raises(ValueError, match="^mode must be 'oplus' or 'otimes', got 'bogus'$"):
+            ifn_tauber_report(seq, w, mode="bogus")
 
     def test_assumption_checked_per_mode(self):
         seq = [IFN(0.4, 0.3)] * 50 + [IFN(0.4, 0.0)]

@@ -262,7 +262,8 @@ def test_component_report_frees_each_s_before_the_next():
         # 51 bytes per index (88 before the in-place S).
         (["analyze", "--generator", "ex1", "--weights", "harmonic", "--window", "40000:40999"],
          60),
-        # 90 bytes per index (122 before); the peak is in the otimes means.
+        # 83 bytes per index, in the component report; the otimes means
+        # peak at 78 (90 before the in-place means, 122 before the in-place S).
         (["ifn-analyze", "--generator", "ex4-ifn", "--mode", "otimes",
           "--lambda-grid", "0.99,1.01", "--window", "90000:90999"], 100),
     ],

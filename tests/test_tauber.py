@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmtauber.mcore import LogReal, MTolerance, TailWindow
-from gmtauber.weights import LambdaGrid, WeightSequence
+from gmtauber.weights import LambdaGrid, WeightSequence, sva_plus_estimate
 from gmtauber.tauber import (
     ReportThresholds,
     default_report_window,
@@ -19,7 +19,7 @@ from gmtauber.tauber import (
     tauber_condition_curve,
     usable_end,
 )
-from gmtauber.generators import generate
+from gmtauber.generators import generate, generate_array
 
 from support import slow_oscillation_curve_oracle
 
@@ -195,6 +195,21 @@ class TestSlowOscillation:
         with pytest.raises(ValueError):
             slow_oscillation_curve(u, LambdaGrid.of([2.0]), TailWindow(10, 60))
 
+    def test_out_of_range_error_is_shared(self):
+        # One block walk raises for every per-lambda curve and for SVA+.
+        x, w = np.zeros(10), WeightSequence.ones(10)
+        grid, win = LambdaGrid.of([0.5, 1.5, 2.0]), TailWindow(5, 9)
+        expect = "lambda index floor(2.0 * 9) = 18 exceeds the materialized sequence length 10"
+        calls = [
+            lambda: slow_oscillation_curve(x, grid, win),
+            lambda: tauber_condition_curve(x, w, grid, win, side=1),
+            lambda: sva_plus_estimate(w, grid, win),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == expect
+
 
 class TestConditionEstimates:
     def test_constant_sequence_is_exactly_one(self):
@@ -351,6 +366,16 @@ class TestRecoverabilityReport:
             rep.landau_bound_estimate,
         ):
             assert est >= 1.0
+
+    def test_estimate_defaults_use_the_report_window(self):
+        x = generate_array("exp-decay", 999)
+        w = WeightSequence.ones(x.size)
+        rep = recoverability_report(x, w)
+        assert tauber_con1_estimate(x, w) == rep.con1_estimate
+        assert tauber_con2_estimate(x, w) == rep.con2_estimate
+        assert slow_oscillation_estimate(x) == rep.slow_osc_estimate
+        assert slow_oscillation_estimate(x, backward=True) == rep.slow_osc_backward_estimate
+        assert sva_plus_estimate(w).window == rep.window
 
     def test_default_window_respects_grid(self):
         win = default_report_window(101, LambdaGrid.default())
