@@ -7,10 +7,12 @@ of size n) are the normal case here, so prefix sums are carried in
 extended precision.
 
 Every quantity of a run reduces to the prefix sums S_n = sum p_k log u_k
-and P_n. _prefix_sums builds S, in place, as the one full-length
-longdouble array; P stays the float64 WeightSequence.P and is widened to
-longdouble only where it meets S: in _log_means, the buffered division
-that gives the float64 log-means, and in tauber's condition curves.
+and P_n, whose one extended-precision rule lives here. _prefix_sums
+builds S, in place, as the one full-length longdouble array; P stays the
+float64 WeightSequence.P and is widened to longdouble only where it meets
+S: in _log_means, the buffered division that gives the float64
+log-means, and in _block_means, for tauber's condition curves.
+GeoMeanState follows the same rule one index at a time.
 """
 
 import math
@@ -43,24 +45,16 @@ __all__ = [
 class GeoMeanState:
     """Incremental accumulator for the running weighted geometric mean.
 
-    Keeps L = sum p_k log u_k and P = P_n with Kahan compensation so the
-    incremental path agrees with fresh summation. `n` is the index of
-    the last element consumed (-1 before the first push).
+    Each mean equals transform_log_values' bit for bit: L = sum p_k log u_k
+    and P = P_n are longdouble running sums, and L is divided by P rounded
+    to float64 (as WeightSequence.P is). `n` is the index of the last
+    element consumed (-1 before the first push).
     """
 
     def __init__(self):
-        self.L = 0.0
-        self.P = 0.0
+        self.L = np.longdouble(-0.0)  # -0.0 + t is t, for t = -0.0 too
+        self.P = np.longdouble(0.0)
         self.n = -1
-        self._comp_L = 0.0
-        self._comp_P = 0.0
-
-    @staticmethod
-    def _kahan(total: float, comp: float, term: float) -> tuple[float, float]:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        return t, comp
 
     def push(self, u: LogReal, p: float) -> LogReal:
         """Consume the next (u_n, p_n) pair and return the current mean."""
@@ -68,8 +62,8 @@ class GeoMeanState:
             raise ValueError(f"weight must be finite and nonnegative, got {p}")
         if self.n < 0 and not p > 0:
             raise ValueError("the first weight p_0 must be strictly positive")
-        self.L, self._comp_L = self._kahan(self.L, self._comp_L, p * u.log_value)
-        self.P, self._comp_P = self._kahan(self.P, self._comp_P, p)
+        self.L += np.longdouble(p) * u.log_value
+        self.P += p
         self.n += 1
         return self.mean
 
@@ -77,7 +71,7 @@ class GeoMeanState:
     def mean(self) -> LogReal:
         if self.n < 0:
             raise ValueError("no elements consumed yet")
-        return LogReal(self.L / self.P)
+        return LogReal(float(self.L / np.longdouble(float(self.P))))
 
 
 def _prefix_sums(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
@@ -102,6 +96,20 @@ def _log_means(S: np.ndarray, P: np.ndarray) -> np.ndarray:
     means = np.empty(S.size, dtype=np.float64)
     np.divide(S, P, out=means, dtype=np.longdouble)
     return means
+
+
+def _block_means(
+    x: np.ndarray, S: np.ndarray, P: np.ndarray, ns: np.ndarray, lns: np.ndarray, side: int
+) -> np.ndarray:
+    """|sum_{k=lo+1}^{hi} p_k (x_k - x_n)| / (P_hi - P_lo) at the pairs
+    whose partial sums move, with (lo, hi) = (n, lambda_n) on side 1 and
+    (lambda_n, n) on side 2: the block means of tauber's condition curves
+    (side 2 flips the numerator's sign, which rounding leaves exact)."""
+    lo, hi = (ns, lns) if side == 1 else (lns, ns)
+    dP = P[hi].astype(np.longdouble) - P[lo]
+    numer = np.abs((S[hi] - S[lo]) - dP * x[ns])
+    valid = dP > 0
+    return numer[valid] / dP[valid]
 
 
 def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:

@@ -345,7 +345,10 @@ def _check_exponent(c: float, what: str) -> None:
 
 
 def _scalar_mul_pair(c: float, a: IFN) -> tuple[float, float]:
-    return 1.0 - (1.0 - a.mu) ** c, a.nu**c
+    # nu^c <= (1-mu)^c in exact arithmetic; the min keeps it so when
+    # nu^c rounds above, which would leave the simplex.
+    keep = (1.0 - a.mu) ** c
+    return 1.0 - keep, min(a.nu**c, keep)
 
 
 def scalar_mul(c: float, a: IFN) -> IFN:
@@ -554,12 +557,12 @@ def otimes_convergence_check(
     return _oplus_converges(block, _swap(xi), tol, "multiplicative")
 
 
-def _oplus_logs(rows: np.ndarray, swap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 - mu) and log(nu), the real sequences behind the additive
-    mean, of the rows or, when `swap`, of (sigma a_n). Every element must
-    lie <_L (1, 0) after the swap; the first that does not is named
-    unswapped."""
-    mu, nu = rows[::-1] if swap else rows
+def _oplus_rows(rows: np.ndarray, swap: bool) -> np.ndarray:
+    """The (mu, nu) rows, or when `swap` those of (sigma a_n), whose
+    logs log(1 - mu) and log(nu) are the real sequences behind the
+    additive mean. Every element must lie <_L (1, 0) after the swap; the
+    first that does not is named unswapped."""
+    mu, nu = oriented = rows[::-1] if swap else rows
     outside = ~((mu < 1.0) & (nu > 0.0))
     if outside.any():
         k = int(np.argmax(outside))
@@ -570,19 +573,23 @@ def _oplus_logs(rows: np.ndarray, swap: bool) -> tuple[np.ndarray, np.ndarray]:
             f"element {k} = {_box(*rows[:, k].tolist())} violates the "
             f"{mean}-mean assumption (needs {need})"
         )
-    return np.log(1.0 - mu), np.log(nu)
+    return oriented
 
 
 def _oplus_means(seq: Sequence[IFN], w: WeightSequence, swap: bool) -> IFNRows:
     """t_n = (1 - W(1-mu)_n, W(nu)_n) of the rows, or of (sigma a_n)
     swapped back when `swap`; normalized in the caller's (mu, nu) order,
-    so that an IFN error shows the pair unswapped."""
+    so that an IFN error shows the pair unswapped. W(nu) is clamped to
+    W(1-mu), which it cannot exceed in exact arithmetic, so that the
+    means stay on the simplex when rounding says otherwise."""
     rows = as_rows(seq)
     if rows.shape[1] == 0:
         raise ValueError("cannot average an empty sequence")
-    means = np.stack(_oplus_logs(rows, swap))
+    mu, nu = _oplus_rows(rows, swap)
+    means = np.stack([np.log(1.0 - mu), np.log(nu)])
     for row in means:
         np.exp(transform_log_values(row, w), out=row)
+    np.minimum(means[1], means[0], out=means[1])
     np.subtract(1.0, means[0], out=means[0])
     return IFNRows(simplex_rows(means[::-1] if swap else means))
 
@@ -677,11 +684,14 @@ def ifn_tauber_report(
     if mode not in ("oplus", "otimes"):
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
     swap = mode == "otimes"
-    logs = _oplus_logs(rows, swap)
+    mu, nu = _oplus_rows(rows, swap)
+    # Each component's log is formed just before its report and freed
+    # with it, so one component log and one S are alive at a time.
+    logs = (lambda: np.log(1.0 - mu), lambda: np.log(nu))
     first, second = logs[::-1] if swap else logs
     labels = ("mu", "one_minus_nu") if swap else ("one_minus_mu", "nu")
-    rep1 = recoverability_report(first, w, grid, window, thresholds)
-    rep2 = recoverability_report(second, w, grid, window, thresholds)
+    rep1 = recoverability_report(first(), w, grid, window, thresholds)
+    rep2 = recoverability_report(second(), w, grid, window, thresholds)
     return IFNTauberReport(
         mode=mode,
         component_labels=labels,

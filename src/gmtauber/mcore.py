@@ -82,9 +82,6 @@ class LogReal:
         return f"LogReal(log_value={self.log_value!r})"
 
 
-ONE = LogReal(0.0)
-
-
 @dataclass(frozen=True)
 class MTolerance:
     """Multiplicative epsilon: a real strictly greater than 1."""
@@ -207,16 +204,17 @@ def star_converges_to(
 
 
 def is_mstar_bounded(
-    seq: Sequence[LogReal],
+    seq: Sequence[LogReal] | np.ndarray,
     bound: LogReal,
     window: TailWindow | None = None,
 ) -> bool:
     """True iff |u_n|* < bound for every n in the window (bound > 1)."""
     if not bound.log_value > 0:
         raise ValueError("the *bound must be > 1")
-    window = resolve_window(window, len(seq))
-    log_b = bound.log_value
-    return all(abs(seq[n].log_value) < log_b for n in window.indices())
+    x = as_logs(seq)
+    window = resolve_window(window, x.size)
+    block = x[window.start_index : window.end_index + 1]
+    return bool(np.all(np.abs(block) < bound.log_value))
 
 
 def log_array(seq: Iterable[LogReal]) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
 from .weights import LambdaGrid, WeightSequence, _lambda_blocks
 from .weights import default_report_window, usable_end  # noqa: F401 (re-exported)
-from .gmean import _prefix_gbar_verdict, _prefix_sums
+from .gmean import _block_means, _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [
     "TauberReport",
@@ -189,23 +189,13 @@ def _condition_curve(
     window: TailWindow,
     side: int,
 ) -> dict[float, float]:
-    """tauber_condition_curve on the longdouble S and the float64 P.
-    P meets S only at the gathered window values: P_n is widened to
-    longdouble, and P_{lambda_n} by the subtraction from it."""
+    """tauber_condition_curve on the prefix sums S and P (gmean._block_means)."""
     branch = grid.above_one if side == 1 else grid.below_one
     curve: dict[float, float] = {}
     for lam, ns, lns in _lambda_blocks(branch, window, x.size):
-        P_ns = P[ns].astype(np.longdouble)
-        if side == 1:
-            dP = P[lns] - P_ns
-            numer = np.abs((S[lns] - S[ns]) - dP * x[ns])
-        else:
-            dP = P_ns - P[lns]
-            numer = np.abs(dP * x[ns] - (S[ns] - S[lns]))
-        valid = dP > 0
-        if not np.any(valid):
-            continue
-        curve[lam] = _safe_exp(float(np.max(numer[valid] / dP[valid])))
+        means = _block_means(x, S, P, ns, lns, side)
+        if means.size:
+            curve[lam] = _safe_exp(float(means.max()))
     return curve
 
 

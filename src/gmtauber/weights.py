@@ -68,7 +68,9 @@ class WeightSequence:
     @classmethod
     def harmonic(cls, length: int) -> "WeightSequence":
         """p_n = 1/(n+1)."""
-        return cls(1.0 / (np.arange(length, dtype=np.float64) + 1.0))
+        p = np.arange(1, length + 1, dtype=np.float64)
+        np.divide(1.0, p, out=p)
+        return cls(p)
 
     @classmethod
     def alternating(cls, length: int, a: float, b: float) -> "WeightSequence":

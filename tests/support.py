@@ -267,7 +267,9 @@ def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
 
 # Object-level IFN layer: one IFN per element and per intermediate, the
 # straightforward form of the (2, N) row code in gmtauber.ifn, with the
-# multiplicative half written out instead of conjugated by the swap.
+# multiplicative half written out instead of conjugated by the swap. The
+# closed forms of powers and means clamp as the library does: the mu
+# part is at most (1 - nu)^c, or W(1 - nu), as in exact arithmetic.
 
 
 def multiply_oracle(a: IFN, b: IFN) -> IFN:
@@ -281,7 +283,8 @@ def power_oracle(a: IFN, c: float) -> IFN:
         raise ValueError(f"power needs mu > 0 and nu < 1, got {a}")
     if c == 1.0:
         return a
-    return IFN(a.mu**c, 1.0 - (1.0 - a.nu) ** c)
+    keep = (1.0 - a.nu) ** c
+    return IFN(min(a.mu**c, keep), 1.0 - keep)
 
 
 def _lt_L(a: IFN, b: IFN) -> bool:
@@ -390,7 +393,7 @@ def ifwa_means_oracle(seq, w) -> list[IFN]:
     nus = np.log([a.nu for a in seq])
     w_mu = np.exp(transform_log_values(one_minus_mu, w))
     w_nu = np.exp(transform_log_values(nus, w))
-    return [IFN(1.0 - float(m), float(v)) for m, v in zip(w_mu, w_nu)]
+    return [IFN(1.0 - float(m), min(float(v), float(m))) for m, v in zip(w_mu, w_nu)]
 
 
 def ifwg_means_oracle(seq, w) -> list[IFN]:
@@ -401,7 +404,7 @@ def ifwg_means_oracle(seq, w) -> list[IFN]:
     one_minus_nu = np.log([1.0 - a.nu for a in seq])
     w_mu = np.exp(transform_log_values(mus, w))
     w_nu = np.exp(transform_log_values(one_minus_nu, w))
-    return [IFN(float(m), 1.0 - float(v)) for m, v in zip(w_mu, w_nu)]
+    return [IFN(min(float(m), float(v)), 1.0 - float(v)) for m, v in zip(w_mu, w_nu)]
 
 
 def np_oplus_verdict_oracle(seq, w, xi: IFN, tol: float = 1e-3, window=None) -> Verdict:

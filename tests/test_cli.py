@@ -251,6 +251,18 @@ class TestIfnAnalyze:
             assert nu["recovery_verdict"] is verdict
             assert tauber["recovery_verdict"] is verdict
 
+    def test_pairs_at_the_simplex_edge(self, tmp_path):
+        # The geometric means of the first two pairs left the simplex
+        # before W(mu) was clamped to W(1 - nu), and the run exited 3.
+        src = tmp_path / "seq.txt"
+        src.write_text("1.0,0.0\n5.638568035048517e-13,1.0\n" + "0.5,0.3\n" * 20)
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "ifn-analyze", "--in", str(src), "--mode", "otimes", "--no-timestamp",
+            "--out", str(out),
+        ) == 0
+        assert load(out)["analysis"]["xi_estimate"]["mu"] > 0
+
     def test_precondition_failure_exits_3(self):
         # Index 0 of the drifting sequence has nu = 0: the additive mean
         # assumption fails loudly.

@@ -10,6 +10,7 @@ from gmtauber.gmean import (
     GeoMeanState,
     decomposition_identity_check,
     gbar_limit_estimate,
+    transform_log_values,
     weighted_geo_means,
 )
 from gmtauber.generators import generate
@@ -124,6 +125,21 @@ class TestGeoMeanState:
         batch = weighted_geo_means([LogReal.from_log(lv) for lv in logs], WeightSequence(p))
         for inc, bat in zip(incremental, batch):
             assert inc.log_value == pytest.approx(bat.log_value, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.lists(st.floats(min_value=-5000.0, max_value=5000.0), min_size=1, max_size=400),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_equals_batch_bit_for_bit(self, logs, p0, data):
+        # Zero weights after p_0 add 0 to P and a signed zero to L.
+        rest = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+        p = [p0] + data.draw(st.lists(rest, min_size=len(logs) - 1, max_size=len(logs) - 1))
+        state = GeoMeanState()
+        incremental = [state.push(LogReal(lv), pw).log_value.hex() for lv, pw in zip(logs, p)]
+        batch = transform_log_values(np.array(logs), WeightSequence(p))
+        assert incremental == [v.hex() for v in batch.tolist()]
 
 
 class TestGbarLimitEstimate:

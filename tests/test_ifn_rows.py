@@ -26,6 +26,7 @@ from gmtauber.ifn import (
     otimes_convergence_check,
     otimes_sandwich_holds,
     power,
+    scalar_mul,
     simplex_rows,
 )
 from gmtauber.mcore import TailWindow
@@ -196,6 +197,37 @@ class TestDuality:
             power(IFN(0.5, 0.3), -1.0)
         with pytest.raises(ValueError, match="power needs mu > 0 and nu < 1"):
             power(IFN(0.0, 0.5), 2.0)
+
+
+# Pairs next to a vertex of the simplex, where the closed forms round
+# W(mu) above W(1 - nu) (dually W(nu) above W(1 - mu)): unclamped, the
+# means and the power leave the simplex and raise IFN's error.
+EDGE_SEQ = [(1.0, 0.0), (5.638568035048517e-13, 1.0)]
+EDGE_PAIR = (5.313976378846972e-13, 0.9999999999994686)
+
+
+class TestSimplexClamp:
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_means(self, swap):
+        fn, oracle = (ifwa_means, support.ifwa_means_oracle) if swap else (
+            ifwg_means, support.ifwg_means_oracle)
+        raw = [p[::-1] for p in EDGE_SEQ] if swap else EDGE_SEQ
+        objs, view = _inputs(raw)
+        w = WeightSequence.ones(2)
+        means = fn(objs, w)
+        assert [a.mu + a.nu for a in means] == [1.0, 1.0]
+        assert _outcome(fn, view, w) == _outcome(oracle, objs, w) == _outcome(fn, objs, w)
+        other = ifwa_means if fn is ifwg_means else ifwg_means
+        swapped = other(_ifns([p[::-1] for p in raw]), w)
+        assert [_hex(a)[::-1] for a in swapped] == [_hex(a) for a in means]
+
+    def test_power_and_scalar_multiple(self):
+        a = power(IFN(*EDGE_PAIR), 0.5)
+        assert a.mu + a.nu == 1.0
+        assert _outcome(power, IFN(*EDGE_PAIR), 0.5) == _outcome(
+            support.power_oracle, IFN(*EDGE_PAIR), 0.5)
+        b = scalar_mul(0.5, IFN(*EDGE_PAIR[::-1]))
+        assert _hex(b) == _hex(a)[::-1]
 
 
 class TestRowsMatchObjects:

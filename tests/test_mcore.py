@@ -159,6 +159,22 @@ class TestIsMstarBounded:
         with pytest.raises(ValueError):
             is_mstar_bounded([L(1.0)], L(1.0), TailWindow(0, 0))
 
+    @given(
+        st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=50),
+        st.floats(min_value=0.01, max_value=6.0),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_log_array_matches_logreals(self, logs, log_bound, data):
+        start = data.draw(st.integers(0, len(logs) - 1))
+        window = data.draw(
+            st.one_of(st.none(), st.integers(start, len(logs) - 1).map(
+                lambda end: TailWindow(start, end)))
+        )
+        bound = LogReal(log_bound)
+        boxed = is_mstar_bounded([LogReal(v) for v in logs], bound, window)
+        assert is_mstar_bounded(np.array(logs), bound, window) is boxed
+
 
 logreals = st.floats(min_value=-700.0, max_value=700.0).map(LogReal.from_log)
 

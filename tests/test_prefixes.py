@@ -8,6 +8,7 @@ import io
 import struct
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,19 +242,37 @@ def test_transform_allocates_one_longdouble_array():
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_component_report_frees_each_s_before_the_next():
-    # ifn_tauber_report holds both components' float64 logs (16 bytes
-    # per index) and one S (16) at a time, plus window-sized arrays:
-    # 33 bytes per index at N = 10^5. A second live S, or a full-length
-    # means array, would cross 40.
-    n = 10**5
+def _component_report_peak(n: int) -> float:
     rows = IFNRows(generate_array("ex4-ifn", n - 1))
     w = WeightSequence.ones(n)
     grid = LambdaGrid.of([0.99, 1.01])
     peak = _traced_peak(
         lambda: ifn_tauber_report(rows, w, grid, TailWindow(90000, 90999), mode="otimes")
     )
-    assert peak < 40 * n, f"traced peak {peak / n:.1f} bytes per index"
+    return peak / n
+
+
+def test_component_report_frees_each_s_before_the_next():
+    # A second live S, or a full-length means array, would cross 40
+    # bytes per index at N = 10^5.
+    per_index = _component_report_peak(10**5)
+    assert per_index < 40, f"traced peak {per_index:.1f} bytes per index"
+
+
+def test_component_report_holds_one_component_log_at_a_time():
+    # ifn_tauber_report holds one component's float64 log (8 bytes per
+    # index) and its S (16) at a time, plus window-sized arrays: 25 bytes
+    # per index at N = 10^5 (33 while both logs were built up front).
+    per_index = _component_report_peak(10**5)
+    assert per_index < 30, f"traced peak {per_index:.1f} bytes per index"
+
+
+def test_extended_precision_lives_in_gmean_and_weights():
+    # The precision rule of S and P has one home each, so that a portable
+    # replacement for longdouble changes two modules.
+    package = Path(gmtauber.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "longdouble" in p.read_text())
+    assert users == ["gmean.py", "weights.py"]
 
 
 @pytest.mark.parametrize(
@@ -262,8 +281,9 @@ def test_component_report_frees_each_s_before_the_next():
         # 51 bytes per index (88 before the in-place S).
         (["analyze", "--generator", "ex1", "--weights", "harmonic", "--window", "40000:40999"],
          60),
-        # 83 bytes per index, in the component report; the otimes means
-        # peak at 78 (90 before the in-place means, 122 before the in-place S).
+        # 78 bytes per index, in the otimes means (90 before the in-place
+        # means, 122 before the in-place S); the component report peaks at
+        # 75 (83 while it built both component logs up front).
         (["ifn-analyze", "--generator", "ex4-ifn", "--mode", "otimes",
           "--lambda-grid", "0.99,1.01", "--window", "90000:90999"], 100),
     ],

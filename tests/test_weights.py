@@ -50,6 +50,11 @@ class TestWeightSequence:
         w = WeightSequence.harmonic(5)
         assert partial_sum(w, 2) == pytest.approx(11.0 / 6.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 10**6])
+    def test_harmonic_is_one_over_n_plus_one(self, n):
+        expected = 1.0 / (np.arange(n, dtype=np.float64) + 1.0)
+        assert WeightSequence.harmonic(n).p.tobytes() == expected.tobytes()
+
     def test_partial_sum_alternating(self):
         w = WeightSequence.alternating(6, 2.0, 1.0)
         assert partial_sum(w, 3) == 6.0

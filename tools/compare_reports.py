@@ -6,7 +6,8 @@ BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
 file, both IFN modes and `--format csv`, `analyze --format csv` at
-50001 indices, and IFN files on the simplex boundary in both modes)
+50001 indices, `--theta 3` for `analyze` and `ifn-analyze --mode
+otimes`, and IFN files on the simplex boundary in both modes)
 runs once under each tree in the same scratch directory, with
 `--no-timestamp` wherever a report is written. The exit code, stdout
 and every output file must match byte for byte. Each `--bench-seed`
@@ -123,6 +124,11 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "0.99,1.01", NO_TS], []),
         (["ifn-analyze", "--in", "seq_ifn.txt", "--mode", "otimes", "--format", "csv",
           "--out", "i.csv", NO_TS], ["i.csv", "i.csv.json"]),
+        # A non-default condition threshold, in both reports that take one.
+        (["analyze", "--generator", "ex2", "--n-max", "3000", "--weights", "alternating:2,1",
+          "--theta", "3", NO_TS], []),
+        (["ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
+          "--n-max", "600", "--mode", "otimes", "--theta", "3", NO_TS], []),
     ]
     for name in IFN_BOUNDARY_FILES:
         for mode in ("oplus", "otimes"):
