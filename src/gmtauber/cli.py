@@ -254,6 +254,13 @@ def build_weights(spec: str, length: int) -> WeightSequence:
     )
 
 
+def _n_max_or_default(n_max: int | None, kind: str) -> int:
+    """--n-max, or the default last index of a generated `kind` sequence."""
+    if n_max is not None:
+        return n_max
+    return DEFAULT_N_MAX_REAL if kind == "real" else DEFAULT_N_MAX_IFN
+
+
 def _load_sequence(
     config: RunConfig, expect_kind: str
 ) -> tuple[np.ndarray | IFNRows, str]:
@@ -265,8 +272,7 @@ def _load_sequence(
                 f"generator {config.generator!r} produces a {kind} sequence; "
                 f"this subcommand expects {expect_kind}"
             )
-        default = DEFAULT_N_MAX_REAL if kind == "real" else DEFAULT_N_MAX_IFN
-        n_max = config.n_max if config.n_max is not None else default
+        n_max = _n_max_or_default(config.n_max, kind)
         if kind == "real":
             return generators.generate_array(config.generator, n_max), config.generator
         rows = generators.generate_array(config.generator, n_max)
@@ -377,14 +383,11 @@ def run_ifn(config: RunConfig) -> RunResult:
     grid = _build_grid(config.lambda_values)
     w = build_weights(config.weights_spec, len(seq))
     verdict_window, tauber_window = _windows_for(config, len(seq), grid)
-    mode = config.mode or "oplus"
-
+    mode = config.mode
     if mode == "oplus":
         means, check = ifwa_means(seq, w), oplus_convergence_check
-    elif mode == "otimes":
-        means, check = ifwg_means(seq, w), otimes_convergence_check
     else:
-        raise ConfigError(f"mode must be oplus or otimes, got {mode!r}")
+        means, check = ifwg_means(seq, w), otimes_convergence_check
     xi_hat = means[verdict_window.end_index]
     verdict = mean_verdict(means, check, xi_hat, config.tol, verdict_window)
     plain = check(seq, xi_hat, config.tol, verdict_window)
@@ -461,8 +464,7 @@ def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     kind = generators.generator_kind(args.generator)
-    default = DEFAULT_N_MAX_REAL if kind == "real" else DEFAULT_N_MAX_IFN
-    n_max = args.n_max if args.n_max is not None else default
+    n_max = _n_max_or_default(args.n_max, kind)
     values = generators.generate_array(args.generator, n_max).tolist()
     if kind == "real":
         text = generators.real_sequence_text(values)

@@ -197,26 +197,13 @@ def decomposition_identity_check(
     means = transform_log_values(logs, w)
     P = w.P
     p = w.p
-
-    lhs = logs[n] - means[n]
-    if lam > 1:
-        if not P[ln] > P[n]:
-            raise ValueError(
-                f"precondition P_lambda_n > P_n violated at (lambda={lam}, n={n})"
-            )
-        dP = P[ln] - P[n]
-        block = math.fsum(
-            p[k] * (logs[k] - logs[n]) for k in range(n + 1, ln + 1)
-        )
-        rhs = (P[ln] / dP) * (means[ln] - means[n]) - block / dP
-    else:
-        if not P[n] > P[ln]:
-            raise ValueError(
-                f"precondition P_n > P_lambda_n violated at (lambda={lam}, n={n})"
-            )
-        dP = P[n] - P[ln]
-        block = math.fsum(
-            p[k] * (logs[n] - logs[k]) for k in range(ln + 1, n + 1)
-        )
-        rhs = (P[ln] / dP) * (means[n] - means[ln]) + block / dP
-    return LogReal(abs(lhs - rhs))
+    # The lambda < 1 identity is the lambda > 1 one on the block
+    # (lo, hi] = (lambda_n, n] with both differences negated, which
+    # rounding leaves exact: one formula on (lo, hi) serves both.
+    lo, need = (n, "P_lambda_n > P_n") if lam > 1 else (ln, "P_n > P_lambda_n")
+    if not P[hi] > P[lo]:
+        raise ValueError(f"precondition {need} violated at (lambda={lam}, n={n})")
+    dP = P[hi] - P[lo]
+    block = math.fsum(p[k] * (logs[k] - logs[n]) for k in range(lo + 1, hi + 1))
+    rhs = (P[ln] / dP) * (means[hi] - means[lo]) - block / dP
+    return LogReal(abs((logs[n] - means[n]) - rhs))

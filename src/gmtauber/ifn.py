@@ -14,7 +14,10 @@ Only the additive (oplus) half is written out: the multiplicative
 (otimes) half is its conjugate under the swap sigma(mu, nu) = (nu, mu),
 which exchanges addition with multiplication, scalar multiples with
 powers and the additive with the multiplicative sandwich, and reverses
-<_L. The floating-point operations are the same on both sides.
+<_L. The floating-point operations are the same on both sides. Each rule
+(the oplus domain, <_L, addition, scalar multiples) is written once, on
+components, so that one function serves a scalar IFN and a (2, N) row
+block, and the swap is passing the components in the other order.
 """
 
 import enum
@@ -161,11 +164,6 @@ def _box(mu: float, nu: float) -> IFN:
     return a
 
 
-def _swap(a: IFN) -> IFN:
-    """sigma(mu, nu) = (nu, mu)."""
-    return _box(a.nu, a.mu)
-
-
 def simplex_rows(rows: np.ndarray) -> np.ndarray:
     """IFN's normalization applied to every column of a (2, N) array of
     raw mu/nu rows, returned as a new float64 array.
@@ -257,61 +255,54 @@ def total_order_cmp(a: IFN, b: IFN, tie_tol: float = 1e-12) -> int:
     Score and accuracy ties are decided with an absolute tolerance so
     that decimals like 0.6 - 0.4 vs 0.5 - 0.3 compare as equal scores.
     """
-    ds = a.score - b.score
-    if ds < -tie_tol:
-        return -1
-    if ds > tie_tol:
-        return 1
-    dh = a.accuracy - b.accuracy
-    if dh < -tie_tol:
-        return -1
-    if dh > tie_tol:
-        return 1
+    for d in (a.score - b.score, a.accuracy - b.accuracy):
+        if d < -tie_tol:
+            return -1
+        if d > tie_tol:
+            return 1
     return 0
+
+
+# The rules below take components, floats or rows alike. The
+# multiplicative duals pass them swapped, (nu, mu), and build the IFN
+# from the pair swapped back, so that IFN()'s error shows the pair in
+# its own order.
+
+
+def _lt_L(amu, anu, bmu, bnu):
+    """a <_L b: mu up and nu down, both strict."""
+    return (amu < bmu) & (anu > bnu)
+
+
+def _oplus_domain(mu, nu):
+    """a <_L (1, 0), where the additive operations are defined; on
+    (nu, mu), a >_L (0, 1), where the multiplicative ones are."""
+    return (mu < 1.0) & (nu > 0.0)
+
+
+def _add_pair(amu, anu, bmu, bnu):
+    return 1.0 - (1.0 - amu) * (1.0 - bmu), anu * bnu
 
 
 def partial_order_cmp(a: IFN, b: IFN) -> PartialOrder:
     """Componentwise order: mu up and nu down, both strict."""
     if a.mu == b.mu and a.nu == b.nu:
         return PartialOrder.EQUAL
-    if a.mu > b.mu and a.nu < b.nu:
+    if _lt_L(b.mu, b.nu, a.mu, a.nu):
         return PartialOrder.GREATER_L
-    if a.mu < b.mu and a.nu > b.nu:
+    if _lt_L(a.mu, a.nu, b.mu, b.nu):
         return PartialOrder.LESS_L
     return PartialOrder.INCOMPARABLE
 
 
-def _lt_L(a: IFN, b: IFN) -> bool:
-    return a.mu < b.mu and a.nu > b.nu
-
-
-def _below_mul_identity(a: IFN) -> bool:
-    # a <_L (1, 0)
-    return a.mu < 1.0 and a.nu > 0.0
-
-
-def _above_add_identity(a: IFN) -> bool:
-    # a >_L (0, 1), i.e. sigma a <_L (1, 0)
-    return a.mu > 0.0 and a.nu < 1.0
-
-
-# The additive operations as raw (mu, nu) pairs. Their multiplicative
-# duals apply them to swapped operands and build the IFN from the pair
-# swapped back, so that IFN()'s error shows the pair in its own order.
-
-
-def _add_pair(a: IFN, b: IFN) -> tuple[float, float]:
-    return 1.0 - (1.0 - a.mu) * (1.0 - b.mu), a.nu * b.nu
-
-
 def add(a: IFN, b: IFN) -> IFN:
     """Probabilistic sum on mu, product on nu; identity (0, 1)."""
-    return IFN(*_add_pair(a, b))
+    return IFN(*_add_pair(a.mu, a.nu, b.mu, b.nu))
 
 
 def multiply(a: IFN, b: IFN) -> IFN:
     """Product on mu, probabilistic sum on nu; identity (1, 0)."""
-    nu, mu = _add_pair(_swap(a), _swap(b))
+    nu, mu = _add_pair(a.nu, a.mu, b.nu, b.mu)
     return IFN(mu, nu)
 
 
@@ -344,49 +335,55 @@ def _check_exponent(c: float, what: str) -> None:
         raise ValueError(f"{what} must be finite and nonnegative, got {c}")
 
 
-def _scalar_mul_pair(c: float, a: IFN) -> tuple[float, float]:
+def _scalar_mul_pair(c: float, mu: float, nu: float) -> tuple[float, float]:
     # nu^c <= (1-mu)^c in exact arithmetic; the min keeps it so when
     # nu^c rounds above, which would leave the simplex.
-    keep = (1.0 - a.mu) ** c
-    return 1.0 - keep, min(a.nu**c, keep)
+    keep = (1.0 - mu) ** c
+    return 1.0 - keep, min(nu**c, keep)
 
 
 def scalar_mul(c: float, a: IFN) -> IFN:
     """c * a = (1 - (1-mu)^c, nu^c) for c >= 0 and a <_L (1, 0)."""
     _check_exponent(c, "scalar")
-    if not _below_mul_identity(a):
+    if not _oplus_domain(a.mu, a.nu):
         raise ValueError(f"scalar_mul needs mu < 1 and nu > 0, got {a}")
     if c == 1.0:
         return a
-    return IFN(*_scalar_mul_pair(c, a))
+    return IFN(*_scalar_mul_pair(c, a.mu, a.nu))
 
 
 def power(a: IFN, c: float) -> IFN:
     """a^c = (mu^c, 1 - (1-nu)^c) for c >= 0 and a >_L (0, 1)."""
     _check_exponent(c, "exponent")
-    if not _above_add_identity(a):
+    if not _oplus_domain(a.nu, a.mu):
         raise ValueError(f"power needs mu > 0 and nu < 1, got {a}")
     if c == 1.0:
         return a
-    nu, mu = _scalar_mul_pair(c, _swap(a))
+    nu, mu = _scalar_mul_pair(c, a.nu, a.mu)
     return IFN(mu, nu)
 
 
-def in_addition_region(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> bool:
-    """True iff a decomposes as xi + beta for some IFN beta.
-
-    Requires the subtraction a - xi to go through the quotient branch
-    and the reconstruction xi + (a - xi) to reproduce a within `tol`.
-    """
+def _region_quotient(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> IFN | None:
+    """a - xi if a lies in the addition region of xi, else None: the
+    subtraction must go through the quotient branch and the
+    reconstruction xi + (a - xi) must reproduce a within `tol`."""
     beta = _subtract_quotient(a, xi)
     if beta is None:
-        return False
+        return None
     recon = add(xi, beta)
-    return abs(recon.mu - a.mu) <= tol and abs(recon.nu - a.nu) <= tol
+    if abs(recon.mu - a.mu) <= tol and abs(recon.nu - a.nu) <= tol:
+        return beta
+    return None
+
+
+def in_addition_region(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> bool:
+    """True iff a decomposes as xi + beta for some IFN beta (see
+    _region_quotient for the test)."""
+    return _region_quotient(a, xi, tol) is not None
 
 
 def addition_limit_check(
-    seq: Sequence[IFN],
+    seq: Sequence[IFN] | np.ndarray,
     xi: IFN,
     eps: EpsilonIFN,
     window: TailWindow | None = None,
@@ -397,18 +394,17 @@ def addition_limit_check(
     region of xi; otherwise HOLDS iff (a_n - xi) <_L (eps, 1-eps)
     throughout the window.
     """
-    window = resolve_window(window, len(seq), "IFN sequence")
-    if not all(in_addition_region(seq[n], xi) for n in window.indices()):
+    quotients = [_region_quotient(a, xi) for a in IFNRows(_window_rows(seq, window))]
+    if any(q is None for q in quotients):
         return AdditionLimitOutcome.NOT_APPLICABLE
     bar_eps = eps.additive_form
-    for n in window.indices():
-        if not _lt_L(subtract(seq[n], xi), bar_eps):
-            return AdditionLimitOutcome.FAILS
-    return AdditionLimitOutcome.HOLDS
+    if all(_lt_L(q.mu, q.nu, bar_eps.mu, bar_eps.nu) for q in quotients):
+        return AdditionLimitOutcome.HOLDS
+    return AdditionLimitOutcome.FAILS
 
 
 def zhangxu_limit_check(
-    seq: Sequence[IFN],
+    seq: Sequence[IFN] | np.ndarray,
     xi: IFN,
     eps: IFN,
     window: TailWindow | None = None,
@@ -420,15 +416,14 @@ def zhangxu_limit_check(
     """
     if eps.mu == 0.0 and eps.nu == 1.0:
         raise ValueError("eps must differ from (0, 1)")
-    window = resolve_window(window, len(seq), "IFN sequence")
     xi_plus = add(xi, eps)
-    for n in window.indices():
-        c = total_order_cmp(seq[n], xi)
+    for a in IFNRows(_window_rows(seq, window)):
+        c = total_order_cmp(a, xi)
         if c > 0:
-            if not total_order_cmp(seq[n], xi_plus) < 0:
+            if not total_order_cmp(a, xi_plus) < 0:
                 return False
         elif c < 0:
-            if not total_order_cmp(xi, add(seq[n], eps)) < 0:
+            if not total_order_cmp(xi, add(a, eps)) < 0:
                 return False
     return True
 
@@ -444,7 +439,7 @@ _DEFAULT_EPS_SAMPLES: tuple[IFN, ...] = (
 
 
 def zhangxu_limit_check_sampled(
-    seq: Sequence[IFN],
+    seq: Sequence[IFN] | np.ndarray,
     xi: IFN,
     window: TailWindow | None = None,
     eps_samples: Sequence[IFN] = _DEFAULT_EPS_SAMPLES,
@@ -454,24 +449,18 @@ def zhangxu_limit_check_sampled(
     The grid stands in for the 'any eps' quantifier and includes
     near-(0, 1) elements, which are the hard cases.
     """
-    return all(zhangxu_limit_check(seq, xi, eps, window) for eps in eps_samples)
+    rows = IFNRows(as_rows(seq))
+    return all(zhangxu_limit_check(rows, xi, eps, window) for eps in eps_samples)
 
 
-def _oplus_sandwich(block: np.ndarray, xi: IFN, bar_eps: IFN) -> bool:
+def _oplus_sandwich(block: np.ndarray, xmu: float, xnu: float, bar_eps: IFN) -> bool:
     """a <_L xi + bar_eps and xi <_L a + bar_eps for every column a of
-    `block`; a + bar_eps is `add`, column by column."""
+    `block`, with xi = (xmu, xnu); both sums are `add`'s."""
     mu, nu = block
-    xi_plus = add(xi, bar_eps)
-    a_plus = simplex_rows(
-        np.stack([1.0 - (1.0 - mu) * (1.0 - bar_eps.mu), nu * bar_eps.nu])
-    )
+    xi_plus = IFN(*_add_pair(xmu, xnu, bar_eps.mu, bar_eps.nu))
+    a_plus = simplex_rows(np.stack(_add_pair(mu, nu, bar_eps.mu, bar_eps.nu)))
     return bool(
-        np.all(
-            (mu < xi_plus.mu)
-            & (nu > xi_plus.nu)
-            & (xi.mu < a_plus[0])
-            & (xi.nu > a_plus[1])
-        )
+        np.all(_lt_L(mu, nu, xi_plus.mu, xi_plus.nu) & _lt_L(xmu, xnu, *a_plus))
     )
 
 
@@ -484,7 +473,7 @@ def oplus_sandwich_holds(
     """Definitional additive sandwich at one eps:
     a_n <_L xi + (eps, 1-eps) and xi <_L a_n + (eps, 1-eps) on the window."""
     bar_eps = EpsilonIFN(eps).additive_form
-    return _oplus_sandwich(_window_rows(seq, window), xi, bar_eps)
+    return _oplus_sandwich(_window_rows(seq, window), xi.mu, xi.nu, bar_eps)
 
 
 def otimes_sandwich_holds(
@@ -497,21 +486,23 @@ def otimes_sandwich_holds(
     a_n * (1-eps, eps) <_L xi and xi * (1-eps, eps) <_L a_n; the
     additive sandwich of (sigma a_n) around sigma xi."""
     bar_eps = EpsilonIFN(eps).additive_form
-    return _oplus_sandwich(_window_rows(seq, window)[::-1], _swap(xi), bar_eps)
+    return _oplus_sandwich(_window_rows(seq, window)[::-1], xi.nu, xi.mu, bar_eps)
 
 
-def _oplus_converges(block: np.ndarray, xi: IFN, tol: float, sandwich: str) -> bool:
-    """Component test of the window columns against xi <_L (1, 0), with
-    the additive sandwich as a cross-check (`sandwich` names it in the
-    warning)."""
+def _oplus_converges(
+    block: np.ndarray, xmu: float, xnu: float, tol: float, sandwich: str
+) -> bool:
+    """Component test of the window columns against xi = (xmu, xnu)
+    <_L (1, 0), with the additive sandwich as a cross-check (`sandwich`
+    names it in the warning)."""
     mu, nu = block
-    comp = bool(np.all((np.abs(mu - xi.mu) <= tol) & (np.abs(nu - xi.nu) <= tol)))
+    comp = bool(np.all((np.abs(mu - xmu) <= tol) & (np.abs(nu - xnu) <= tol)))
     # eps such that component-tolerance passes force the sandwich (margin 2x).
-    room = min(1.0 - xi.mu - tol, xi.nu - tol)
+    room = min(1.0 - xmu - tol, xnu - tol)
     if comp and room > 0:
         eps_cross = min(1.0, 2.0 * tol / room)
         if eps_cross < 1.0 and not _oplus_sandwich(
-            block, xi, EpsilonIFN(eps_cross).additive_form
+            block, xmu, xnu, EpsilonIFN(eps_cross).additive_form
         ):
             warnings.warn(
                 f"component test passed but the {sandwich} sandwich failed at "
@@ -535,9 +526,9 @@ def oplus_convergence_check(
     at a matching eps as a cross-check and a disagreement is warned
     about rather than folded into the verdict.
     """
-    if not _below_mul_identity(xi):
+    if not _oplus_domain(xi.mu, xi.nu):
         raise ValueError(f"limit candidate must satisfy mu < 1 and nu > 0, got {xi}")
-    return _oplus_converges(_window_rows(seq, window), xi, tol, "additive")
+    return _oplus_converges(_window_rows(seq, window), xi.mu, xi.nu, tol, "additive")
 
 
 def otimes_convergence_check(
@@ -551,10 +542,10 @@ def otimes_convergence_check(
     The additive check on (sigma a_n) and sigma xi; its sandwich
     cross-check is the multiplicative sandwich.
     """
-    if not _above_add_identity(xi):
+    if not _oplus_domain(xi.nu, xi.mu):
         raise ValueError(f"limit candidate must satisfy mu > 0 and nu < 1, got {xi}")
     block = _window_rows(seq, window)[::-1]
-    return _oplus_converges(block, _swap(xi), tol, "multiplicative")
+    return _oplus_converges(block, xi.nu, xi.mu, tol, "multiplicative")
 
 
 def _oplus_rows(rows: np.ndarray, swap: bool) -> np.ndarray:
@@ -563,7 +554,7 @@ def _oplus_rows(rows: np.ndarray, swap: bool) -> np.ndarray:
     additive mean. Every element must lie <_L (1, 0) after the swap; the
     first that does not is named unswapped."""
     mu, nu = oriented = rows[::-1] if swap else rows
-    outside = ~((mu < 1.0) & (nu > 0.0))
+    outside = ~_oplus_domain(mu, nu)
     if outside.any():
         k = int(np.argmax(outside))
         mean, need = (
@@ -613,7 +604,7 @@ def ifwg_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
 
 
 def mean_verdict(
-    means: Sequence[IFN],
+    means: Sequence[IFN] | np.ndarray,
     check: Callable[..., bool],
     xi: IFN,
     tol: float = 1e-3,
@@ -621,6 +612,7 @@ def mean_verdict(
 ) -> Verdict:
     """Windowed test of convergence of precomputed means to xi, by
     `check` (oplus_convergence_check or otimes_convergence_check)."""
+    means = IFNRows(as_rows(means))
     window = resolve_window(window, len(means), "IFN sequence")
     passed = check(means, xi, tol, window)
     return Verdict(

@@ -165,10 +165,16 @@ def mdist(u: LogReal, v: LogReal) -> LogReal:
     return LogReal(abs(u.log_value - v.log_value))
 
 
-def mdelta(seq: Sequence[LogReal], n: int) -> LogReal:
-    """Multiplicative difference u_n / u_{n-1}, with u_0 at n = 0."""
+def mdelta(seq: Sequence[LogReal] | np.ndarray, n: int) -> LogReal:
+    """Multiplicative difference u_n / u_{n-1}, with u_0 at n = 0. An
+    ndarray holds the logs (see as_logs)."""
+    logs = isinstance(seq, np.ndarray)
+    if logs:
+        seq = as_logs(seq)
     if n < 0 or n >= len(seq):
         raise IndexError(f"index {n} out of range for sequence of length {len(seq)}")
+    if logs:
+        return LogReal(float(seq[n] - seq[n - 1]) if n else float(seq[0]))
     if n == 0:
         return seq[0]
     return seq[n] / seq[n - 1]

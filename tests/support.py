@@ -20,6 +20,7 @@ from gmtauber.ifn import (
     IFN,
     EpsilonIFN,
     IFNTauberReport,
+    PartialOrder,
     add,
     multiply,
     power,
@@ -29,7 +30,48 @@ from gmtauber.gmean import gbar_verdict, transform_log_values
 from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, Verdict, log_array
 from gmtauber.tauber import _safe_exp, recoverability_report
-from gmtauber.weights import LambdaGrid, WeightSequence
+from gmtauber.weights import LambdaGrid, WeightSequence, lambda_index
+
+
+def decomposition_identity_oracle(u, w: WeightSequence, lam: float, n: int) -> LogReal:
+    """The block decomposition of u_n/w_n with both lambda branches
+    written out, kept as the oracle for gmean's one-branch form."""
+    if lam == 1.0:
+        raise ValueError("lambda must differ from 1")
+    ln = lambda_index(lam, n)
+    hi = max(n, ln)
+    if hi >= len(u):
+        raise IndexError(
+            f"identity at (lambda={lam}, n={n}) needs index {hi}, "
+            f"sequence has length {len(u)}"
+        )
+    logs = log_array(u[: hi + 1])
+    means = transform_log_values(logs, w)
+    P = w.P
+    p = w.p
+
+    lhs = logs[n] - means[n]
+    if lam > 1:
+        if not P[ln] > P[n]:
+            raise ValueError(
+                f"precondition P_lambda_n > P_n violated at (lambda={lam}, n={n})"
+            )
+        dP = P[ln] - P[n]
+        block = math.fsum(
+            p[k] * (logs[k] - logs[n]) for k in range(n + 1, ln + 1)
+        )
+        rhs = (P[ln] / dP) * (means[ln] - means[n]) - block / dP
+    else:
+        if not P[n] > P[ln]:
+            raise ValueError(
+                f"precondition P_n > P_lambda_n violated at (lambda={lam}, n={n})"
+            )
+        dP = P[n] - P[ln]
+        block = math.fsum(
+            p[k] * (logs[n] - logs[k]) for k in range(ln + 1, n + 1)
+        )
+        rhs = (P[ln] / dP) * (means[n] - means[ln]) + block / dP
+    return LogReal(abs(lhs - rhs))
 
 
 def check_lambda_bounds_oracle(lam: float, window: TailWindow, length: int) -> None:
@@ -289,6 +331,30 @@ def power_oracle(a: IFN, c: float) -> IFN:
 
 def _lt_L(a: IFN, b: IFN) -> bool:
     return a.mu < b.mu and a.nu > b.nu
+
+
+def total_order_cmp_oracle(a: IFN, b: IFN, tie_tol: float = 1e-12) -> int:
+    ds = a.score - b.score
+    if ds < -tie_tol:
+        return -1
+    if ds > tie_tol:
+        return 1
+    dh = a.accuracy - b.accuracy
+    if dh < -tie_tol:
+        return -1
+    if dh > tie_tol:
+        return 1
+    return 0
+
+
+def partial_order_cmp_oracle(a: IFN, b: IFN) -> PartialOrder:
+    if a.mu == b.mu and a.nu == b.nu:
+        return PartialOrder.EQUAL
+    if a.mu > b.mu and a.nu < b.nu:
+        return PartialOrder.GREATER_L
+    if _lt_L(a, b):
+        return PartialOrder.LESS_L
+    return PartialOrder.INCOMPARABLE
 
 
 def _window(seq: Sequence[IFN], window: TailWindow | None) -> TailWindow:

@@ -15,6 +15,8 @@ from gmtauber.gmean import (
 )
 from gmtauber.generators import generate
 
+from support import decomposition_identity_oracle
+
 
 def L(x: float) -> LogReal:
     return LogReal.of(x)
@@ -217,6 +219,53 @@ class TestDecompositionIdentity:
         u = [L(2.0)] * 41
         with pytest.raises(ValueError):
             decomposition_identity_check(u, WeightSequence(p), 2.0, 15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.floats(1.01, 3.0), st.floats(0.2, 0.99)),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_one_branch_matches_both_written_out(self, lam, n, seed, zeros):
+        # Bit for bit, on both lambda sides; some weights are zero, so
+        # that blocks with equal logs and stalled partial sums occur.
+        rng = np.random.default_rng(seed)
+        length = max(n, math.floor(lam * n)) + 1
+        logs = rng.choice([-1.5, 0.0, 0.25, 2.0], size=length) + rng.normal(0, 1e-3, length)
+        p = rng.uniform(0.1, 2.0, size=length)
+        if zeros:
+            p[1:][rng.random(length - 1) < 0.5] = 0.0
+        u = [LogReal(v) for v in logs.tolist()]
+        w = WeightSequence(p)
+        try:
+            expected = decomposition_identity_oracle(u, w, lam, n).log_value.hex()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                decomposition_identity_check(u, w, lam, n)
+            assert str(got.value) == str(exc)
+            return
+        assert decomposition_identity_check(u, w, lam, n).log_value.hex() == expected
+        assert decomposition_identity_check(logs, w, lam, n).log_value.hex() == expected
+
+    @pytest.mark.parametrize(
+        "lam, n, text",
+        [
+            (2.0, 15, "precondition P_lambda_n > P_n violated at (lambda=2.0, n=15)"),
+            (0.5, 30, "precondition P_n > P_lambda_n violated at (lambda=0.5, n=30)"),
+        ],
+    )
+    def test_precondition_texts(self, lam, n, text):
+        # p is zero from index 11 on, so the block (15, 30] of either
+        # case leaves the partial sums where they were.
+        p = np.concatenate([np.ones(11), np.zeros(30)])
+        u = [L(2.0)] * 41
+        with pytest.raises(ValueError) as got:
+            decomposition_identity_check(u, WeightSequence(p), lam, n)
+        assert str(got.value) == text
+        with pytest.raises(ValueError) as got:
+            decomposition_identity_oracle(u, WeightSequence(p), lam, n)
+        assert str(got.value) == text
 
     def test_lambda_one_rejected(self):
         with pytest.raises(ValueError):

@@ -13,21 +13,28 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gmtauber.generators import read_ifn_sequence
 from gmtauber.ifn import (
     IFN,
+    EpsilonIFN,
     IFNRows,
+    addition_limit_check,
     as_rows,
     gp_otimes_verdict,
     ifn_tauber_report,
     ifwa_means,
     ifwg_means,
+    mean_verdict,
     multiply,
     np_oplus_verdict,
     oplus_convergence_check,
     oplus_sandwich_holds,
     otimes_convergence_check,
     otimes_sandwich_holds,
+    partial_order_cmp,
     power,
     scalar_mul,
     simplex_rows,
+    total_order_cmp,
+    zhangxu_limit_check,
+    zhangxu_limit_check_sampled,
 )
 from gmtauber.mcore import TailWindow
 from gmtauber.weights import LambdaGrid, WeightSequence
@@ -199,6 +206,16 @@ class TestDuality:
             power(IFN(0.0, 0.5), 2.0)
 
 
+class TestOrders:
+    @HYPOTHESIS
+    @given(pairs, pairs)
+    def test_match_the_written_out_rules(self, p, q):
+        a, b = _ifns([p, q])
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert total_order_cmp(x, y) == support.total_order_cmp_oracle(x, y)
+            assert partial_order_cmp(x, y) == support.partial_order_cmp_oracle(x, y)
+
+
 # Pairs next to a vertex of the simplex, where the closed forms round
 # W(mu) above W(1 - nu) (dually W(nu) above W(1 - mu)): unclamped, the
 # means and the power leave the simplex and raise IFN's error.
@@ -279,6 +296,49 @@ class TestRowsMatchObjects:
         expected = _outcome(support.ifn_tauber_report_oracle, objs, w, grid, None, mode)
         assert _outcome(ifn_tauber_report, objs, w, grid, None, mode) == expected
         assert _outcome(ifn_tauber_report, view, w, grid, None, mode) == expected
+
+
+class TestEveryEntryPointTakesRows:
+    """A list of IFN, an IFNRows view and raw (2, N) rows are one
+    sequence to every windowed check and to mean_verdict."""
+
+    @staticmethod
+    def _same_on_all_forms(fn, raw, *args):
+        objs, view = _inputs(raw)
+        expected = _outcome(fn, objs, *args)
+        assert _outcome(fn, view, *args) == expected
+        assert _outcome(fn, _rows(raw), *args) == expected
+        return expected
+
+    @HYPOTHESIS
+    @given(settling_sequences(), st.sampled_from([1e-3, 0.02, 0.3, 1.0]))
+    def test_limit_checks(self, case, eps):
+        raw, xi, tol, window = case
+        for limit in (xi, IFN(0.01, 0.98), IFN(0.0, 1.0)):
+            for w in (window, None):
+                self._same_on_all_forms(addition_limit_check, raw, limit, EpsilonIFN(eps), w)
+                self._same_on_all_forms(zhangxu_limit_check, raw, limit, IFN(eps, 0.0), w)
+                self._same_on_all_forms(zhangxu_limit_check_sampled, raw, limit, w)
+
+    @HYPOTHESIS
+    @given(settling_sequences())
+    def test_mean_verdict(self, case):
+        raw, xi, tol, window = case
+        for check in (oplus_convergence_check, otimes_convergence_check):
+            for w in (window, None):
+                self._same_on_all_forms(mean_verdict, raw, check, xi, tol, w)
+
+    def test_mean_verdict_on_raw_rows_uses_the_sequence_window(self):
+        rows = _rows([(0.5, 0.3)] * 9 + [(0.6, 0.2)])
+        verdict = mean_verdict(rows, oplus_convergence_check, IFN(0.5, 0.3))
+        assert verdict.window == TailWindow(5, 9)
+        assert verdict.limit == IFN(0.6, 0.2)
+        assert not verdict.passed
+
+    def test_addition_limit_check_on_raw_rows(self):
+        rows = _rows([(0.5, 0.45)] * 4)
+        out = addition_limit_check(rows, IFN(0.0, 1.0), EpsilonIFN(0.6))
+        assert out.value == "holds"
 
 
 MALFORMED_LINES = [

@@ -118,6 +118,17 @@ class TestMdelta:
             mdelta([L(1.0)], 1)
         with pytest.raises(IndexError):
             mdelta([L(1.0)], -1)
+        with pytest.raises(IndexError):
+            mdelta(np.array([1.0]), 1)
+
+    def test_log_array_is_read_as_logs(self):
+        logs = np.array([0.5, 1.5, -2.0])
+        seq = [LogReal(v) for v in logs.tolist()]
+        for n in range(3):
+            assert mdelta(logs, n) == mdelta(seq, n)
+        assert mdelta(logs, 1) == LogReal(1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            mdelta(np.array([0.0, np.inf]), 0)
 
 
 def oscillating(n_max: int) -> list[LogReal]:
