@@ -7,11 +7,16 @@ files), 3 on numerical precondition failures inside a pipeline.
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
+import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -447,14 +452,79 @@ def _emit(result: RunResult, config: RunConfig) -> None:
     Path(str(out) + ".json").write_text(text)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
     """Rows 'n,repr(c[n]),...' in chunks of CSV_CHUNK_ROWS, so that only
-    one chunk's strings are alive at a time."""
+    one chunk's strings are alive at a time in each process.
+
+    Formatting is about a microsecond per float, so the rows are split on
+    chunk boundaries into one contiguous part per usable CPU. The caller
+    formats part 0 straight into f; each later part is formatted by a
+    forked child into an unlinked temporary file, which the caller
+    appends to f in order once every child has exited.
+    """
     length = columns[0].size
-    for start in range(0, length, CSV_CHUNK_ROWS):
-        stop = min(start + CSV_CHUNK_ROWS, length)
-        cells = [map(repr, c[start:stop].tolist()) for c in columns]
-        f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))))
+    chunks = (length + CSV_CHUNK_ROWS - 1) // CSV_CHUNK_ROWS
+    parts = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
+    cuts = [min(length, CSV_CHUNK_ROWS * (chunks * i // parts)) for i in range(parts + 1)]
+    with contextlib.ExitStack() as stack:
+        children = []
+        try:
+            for start, stop in zip(cuts[1:], cuts[2:]):
+                tmp = stack.enter_context(tempfile.TemporaryFile("w+"))
+                children.append((_fork_rows(tmp, columns, start, stop), tmp, start, stop))
+            _format_rows(f, columns, cuts[0], cuts[1])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
+        for code, (_, tmp, start, stop) in zip(codes, children):
+            if code != 0:
+                raise RuntimeError(
+                    f"formatting CSV rows {start}..{stop - 1} failed in a child "
+                    f"process (exit code {code})"
+                )
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, f)
+
+
+def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int) -> int:
+    """Fork a child that formats rows start..stop-1 into tmp; its pid."""
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns when a multi-threaded process forks, and
+        # numpy's OpenBLAS thread pool makes this one so. OpenBLAS shuts
+        # its pool down around fork through pthread_atfork, and the child
+        # only formats strings and writes one file.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid:
+        return pid
+    # The child leaves through os._exit, on every path: it must neither
+    # unwind into the caller's stack nor flush the parent's buffers.
+    code = 1
+    try:
+        _format_rows(tmp, columns, start, stop)
+        tmp.flush()
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int) -> None:
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, stop)
+        cells = [map(repr, c[lo:hi].tolist()) for c in columns]
+        f.write("\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells))))
         f.write("\n")
 
 

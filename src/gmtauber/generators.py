@@ -7,6 +7,7 @@ indices 0..n_max inclusive.
 """
 
 import math
+import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 LOG_HEADER = "log:"
+# Line breaks of str.splitlines() other than '\n' and '\r', which text
+# files read with universal newlines never hold.
+_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class GeneratorError(ValueError):
@@ -239,12 +243,46 @@ def read_ifn_sequence(path: str | Path) -> IFNRows:
     A malformed file raises the ValueError of its first bad line, in the
     order the lines are read: a line that is not a pair of floats, or a
     pair that IFN() rejects.
+
+    The file is parsed in one C pass (np.loadtxt), whose number syntax is
+    a subset of float()'s, with the same values and the same whitespace
+    stripping; so a file it takes whole as n >= 1 rows of two floats
+    reads the same as line by line. Anything else, such as whitespace-only
+    lines, '1_0' or non-ASCII digits, or a line that is not a pair, goes
+    through the per-line reader.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    text = Path(path).read_text()
+    # The C pass splits lines at '\n' alone and strips the other
+    # str.splitlines() breaks as whitespace, so a file holding one goes
+    # line by line.
+    if not any(c in text for c in _SPLITLINES_ONLY_BREAKS):
+        pairs = _loadtxt_pairs(path)
+        if pairs is not None:
+            return IFNRows(simplex_rows(pairs.T))
+    return _read_ifn_lines(text.splitlines(), path)
+
+
+def _loadtxt_pairs(path: str | Path) -> np.ndarray | None:
+    """The (n, 2) array np.loadtxt parses from the file, or None where it
+    fails, warns (as on a file with no data) or finds another shape."""
+    with open(path) as f, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pairs = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if caught or pairs.shape[0] == 0 or pairs.shape[1] != 2:
+        return None
+    return pairs
+
+
+def _read_ifn_lines(lines: list[str], path: str | Path) -> IFNRows:
+    """read_ifn_sequence one line at a time."""
     rows = np.empty((2, len(lines)))
     mu, nu = rows
     k = 0
     for i, ln in enumerate(lines):
+        ln = ln.strip()
         if not ln:
             continue
         m, sep, v = ln.partition(",")

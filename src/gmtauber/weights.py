@@ -27,6 +27,26 @@ __all__ = [
 ]
 
 
+# Length of the longdouble buffer that P is accumulated through.
+P_CHUNK = 1 << 16
+
+
+def _partial_sums(p: np.ndarray) -> np.ndarray:
+    """np.cumsum(p, dtype=np.longdouble) rounded to float64, through one
+    chunk-long longdouble buffer instead of a full-length one. Each
+    chunk's buffer starts with the longdouble total so far, so every
+    addition is the one the full cumsum makes."""
+    P = np.empty_like(p)
+    buf = np.zeros(min(p.size, P_CHUNK) + 1, dtype=np.longdouble)
+    for start in range(0, p.size, P_CHUNK):
+        seg = buf[: min(P_CHUNK, p.size - start) + 1]
+        seg[1:] = p[start : start + P_CHUNK]
+        np.cumsum(seg, out=seg)
+        P[start : start + seg.size - 1] = seg[1:]
+        buf[0] = seg[-1]
+    return P
+
+
 def lambda_index(lam: float, n: int) -> int:
     """floor(lambda * n) for lambda > 0."""
     if not lam > 0:
@@ -52,7 +72,7 @@ class WeightSequence:
         if not p_arr[0] > 0:
             raise ValueError("the first weight p_0 must be strictly positive")
         self.p = p_arr
-        self.P = np.cumsum(p_arr, dtype=np.longdouble).astype(np.float64)
+        self.P = _partial_sums(p_arr)
 
     def __len__(self) -> int:
         return len(self.p)

@@ -2,7 +2,8 @@
 sequences those folds can evaluate without float underflow, the per-n
 slow-oscillation loop kept as the oracle for the vectorized one, the
 per-element sequence generators and per-line file readers kept as
-oracles for the array ones, and the object-level IFN means, checks,
+oracles for the array ones, the one-process CSV row loop kept as the
+oracle for the split writer in the CLI, and the object-level IFN means, checks,
 sandwiches and component report kept as oracles for the (2, N) row
 ones, and the full-length longdouble prefix-sum formulas kept as
 oracles for the in-place build in gmean."""
@@ -305,6 +306,17 @@ def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
     if not out:
         raise ValueError(f"sequence file {path} is empty")
     return out
+
+
+def write_csv_rows_oracle(f, columns: tuple[np.ndarray, ...], chunk_rows: int) -> None:
+    """gmtauber.cli._write_csv_rows in one process: rows
+    'n,repr(c[n]),...' in chunks of chunk_rows."""
+    length = columns[0].size
+    for start in range(0, length, chunk_rows):
+        stop = min(start + chunk_rows, length)
+        cells = [map(repr, c[start:stop].tolist()) for c in columns]
+        f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))))
+        f.write("\n")
 
 
 # Object-level IFN layer: one IFN per element and per intermediate, the

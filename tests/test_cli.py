@@ -359,6 +359,28 @@ class TestConfigErrors:
         assert run_cli(command, "--in", str(f)) == 2
         assert str(f) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_ifn_file_message(self, tmp_path, capsys, kind):
+        # The exact text of the plain Path.read_text error, not one from
+        # the C parser (such as numpy's "<path> not found.").
+        f = tmp_path / "seq.txt"
+        if kind == "missing":
+            expected = (
+                f"cannot read sequence file {f}: "
+                f"[Errno 2] No such file or directory: '{f}'"
+            )
+        elif kind == "directory":
+            f.mkdir()
+            expected = f"cannot read sequence file {f}: [Errno 21] Is a directory: '{f}'"
+        else:
+            f.write_bytes(b"0.5,0.3\n\xff\xfe,0.1\n")
+            expected = (
+                f"malformed sequence file {f}: 'utf-8' codec can't decode byte "
+                "0xff in position 8: invalid start byte"
+            )
+        assert run_cli("ifn-analyze", "--in", str(f)) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
 
 class TestThresholdFlags:
     """--tol and --theta are configuration: a value outside their range

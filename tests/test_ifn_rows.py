@@ -344,6 +344,17 @@ class TestEveryEntryPointTakesRows:
 MALFORMED_LINES = [
     "abc", "0.5", "0.1,0.2,0.3", "0.5,x", ",", "0.1,", "nan,0.2", "0.7,0.5",
     "-1e-13,0.5", "-1e-11,0.5", "1e400,0", "0.3 , 0.4", "1_0e-1,0.2",
+    # str.splitlines() breaks these lines where the C parser, reading the
+    # raw text, would only strip whitespace and take the pair.
+    "0.5\x0c,0.3", "0.5,\x0b0.3", "0.5\x1c,0.3", "0.5\x85,0.3", "0.5\u2028,0.3",
+]
+# Lines that the per-line reader parses with float() and the C pass
+# rejects: whitespace-only lines, non-ASCII digits (1.0 + 0.5 then fails
+# IFN(); 0.1 + 0.5 does not), and pairs that only str.splitlines()
+# separates; then a CRLF line, which both take.
+PER_LINE_ONLY_LINES = [
+    "  ", "\t", "\u0661,0.5", "0.\u0661,0.5", "0.5,0.3\r0.1,0.2",
+    "0.5,0.3\x0c0.1,0.2", "0.5,0.3\u20280.1,0.2", "0.5,0.3\r",
 ]
 
 
@@ -352,11 +363,30 @@ def _line(pair):
 
 
 class TestReaderMatchesPerLine:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(pairs.map(_line), st.sampled_from(["", "  "] + MALFORMED_LINES)),
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(pairs.map(_line),
+                              st.sampled_from([""] + PER_LINE_ONLY_LINES + MALFORMED_LINES)),
                     max_size=25))
     def test_same_pairs_or_same_error(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("ifn") / "seq.txt"
         path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(support.read_ifn_sequence_oracle, path)
+        assert _outcome(read_ifn_sequence, path) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.5\n0.25\n0.125\n",
+            "0.1,0.2,0.3\n0.2,0.3,0.4\n",
+            "",
+            "\n  \n\t\n\n",
+            "0.5,0.25\r\n0.125,0.5\r\n",
+            "0.5,0.25\n\n0.125,0.5",
+        ],
+        ids=["one-field", "three-fields", "empty", "blank-only", "crlf", "no-final-newline"],
+    )
+    def test_whole_files(self, tmp_path, text):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(text.encode())
         expected = _outcome(support.read_ifn_sequence_oracle, path)
         assert _outcome(read_ifn_sequence, path) == expected

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmtauber import weights
 from gmtauber.mcore import TailWindow
 from gmtauber.weights import (
     LambdaGrid,
@@ -80,6 +83,39 @@ class TestWeightSequence:
         p = np.concatenate([[1.0], rng.uniform(0.0, 5.0, size=499), np.zeros(100)])
         w = WeightSequence(p)
         assert np.all(np.diff(w.P) >= 0)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60),
+        st.floats(min_value=1e-3, max_value=1e6),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chunked_P_is_the_full_longdouble_cumsum(self, rest, first, chunk):
+        # A short chunk puts several chunk boundaries inside a short p.
+        p = np.array([first] + rest)
+        expected = np.cumsum(p, dtype=np.longdouble).astype(np.float64)
+        with mock.patch.object(weights, "P_CHUNK", chunk):
+            assert WeightSequence(p).P.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [1, 5, weights.P_CHUNK - 1, weights.P_CHUNK, weights.P_CHUNK + 1, 300001]
+    )
+    def test_chunked_P_at_chunk_boundaries(self, n):
+        p = np.random.default_rng(n).uniform(0.0, 3.0, n)
+        p[0] = 1.0
+        expected = np.cumsum(p, dtype=np.longdouble).astype(np.float64)
+        assert WeightSequence(p).P.tobytes() == expected.tobytes()
+
+    def test_harmonic_holds_one_chunk_beyond_p_and_P(self):
+        # p and P take 8 MB each at 10^6 indices. A full-length longdouble
+        # cumsum added 16 MB more (traced peak 40.0 MB); one chunk adds 1 MB.
+        tracemalloc.start()
+        try:
+            WeightSequence.harmonic(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_from_file(self, tmp_path):
         f = tmp_path / "w.txt"

@@ -6,8 +6,11 @@ BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
 file, both IFN modes and `--format csv`, `analyze --format csv` at
-50001 indices, `--theta 3` for `analyze` and `ifn-analyze --mode
-otimes`, and IFN files on the simplex boundary in both modes)
+50001 indices, `ifn-analyze --format csv` at 20001 indices, which the
+CSV writer splits across processes where two CPUs are usable, `--theta
+3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
+simplex boundary in both modes, and an IFN file that only the per-line
+reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens)
 runs once under each tree in the same scratch directory, with
 `--no-timestamp` wherever a report is written. The exit code, stdout
 and every output file must match byte for byte. Each `--bench-seed`
@@ -56,6 +59,15 @@ def _inputs(workdir: Path) -> None:
     (workdir / "seq_ifn.txt").write_text("".join(pairs))
     for name, lines in _ifn_boundary_files(rng).items():
         (workdir / name).write_text("".join(f"{ln}\n" for ln in lines))
+    per_line = []
+    for n in range(1200):
+        mu = 0.2 + 0.05 * rng.random()
+        nu = 0.5 + 0.05 * rng.random()
+        if n % 97 == 0:
+            per_line.append("  \t")
+        mu_text = "2_5e-2" if n % 101 == 0 else repr(mu)
+        per_line.append(f"{mu_text},{nu!r}")
+    (workdir / IFN_PER_LINE_FILE).write_bytes("".join(f"{ln}\r\n" for ln in per_line).encode())
 
 
 # IFN files on the edge of the simplex. "over": pairs with mu + nu in
@@ -65,6 +77,9 @@ def _inputs(workdir: Path) -> None:
 # that does not (its CSV shows the clamped values). "malformed": a line
 # that is not a pair (exit 2).
 IFN_BOUNDARY_FILES = ("ifn_over.txt", "ifn_zero_nu.txt", "ifn_zero_mu.txt", "ifn_malformed.txt")
+# Pairs that float() takes and numpy's C parser does not, so the IFN
+# reader falls back to its per-line loop.
+IFN_PER_LINE_FILE = "ifn_per_line.txt"
 
 
 def _ifn_boundary_files(rng: random.Random) -> dict[str, list[str]]:
@@ -129,6 +144,12 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "--theta", "3", NO_TS], []),
         (["ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
           "--n-max", "600", "--mode", "otimes", "--theta", "3", NO_TS], []),
+    ]
+    cases += [
+        (["ifn-analyze", "--generator", "ex4-ifn", "--n-max", "20000", "--format", "csv",
+          "--out", "g.csv", NO_TS], ["g.csv", "g.csv.json"]),
+        (["ifn-analyze", "--in", IFN_PER_LINE_FILE, "--mode", "otimes", "--lambda-grid",
+          "0.99,1.01", "--format", "csv", "--out", "p.csv", NO_TS], ["p.csv", "p.csv.json"]),
     ]
     for name in IFN_BOUNDARY_FILES:
         for mode in ("oplus", "otimes"):
