@@ -434,22 +434,42 @@ def _reject_constant(token: str):
     raise ValueError(f"bare {token} is not JSON")
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out that no file can be written to, before any work."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: {out.parent} is not an existing directory")
+
+
+@contextlib.contextmanager
+def _writing(path: Path | str):
+    """Report an OSError while writing `path` as a ConfigError naming --out."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} for --out: {exc}") from None
+
+
 def _emit(result: RunResult, config: RunConfig) -> None:
     text = dumps_document(result.doc)
     if config.fmt == "json":
         if config.out:
-            Path(config.out).write_text(text)
+            with _writing(config.out):
+                Path(config.out).write_text(text)
         else:
             sys.stdout.write(text)
         return
     # csv: per-index rows plus a sidecar JSON with the diagnostics
     if not config.out:
         raise ConfigError("--format csv needs --out (a sidecar JSON is written too)")
-    out = Path(config.out)
-    with out.open("w") as f:
+    out, sidecar = Path(config.out), Path(config.out + ".json")
+    with _writing(out), out.open("w") as f:
         f.write(",".join(result.header) + "\n")
         _write_csv_rows(f, result.columns)
-    Path(str(out) + ".json").write_text(text)
+    with _writing(sidecar):
+        sidecar.write_text(text)
 
 
 def _usable_cpus() -> int:
@@ -543,7 +563,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     return 0
 
 
@@ -605,6 +626,23 @@ def _summary_lines(doc: dict) -> list[str]:
     return lines
 
 
+def _curves_csv(doc: dict) -> str:
+    """The report's per-lambda curves as 'section,lambda,value' rows."""
+    rows = ["section,lambda,value"]
+    curves = {}
+    analysis = doc.get("analysis", {})
+    if doc["sequence"]["kind"] == "real":
+        curves = analysis.get("tauber", {}).get("curves", {})
+    else:
+        for label, comp in analysis.get("tauber", {}).get("components", {}).items():
+            for name, curve in comp.get("curves", {}).items():
+                curves[f"{label}.{name}"] = curve
+    for section in sorted(curves):
+        for lam in sorted(curves[section], key=float):
+            rows.append(f"{section},{lam},{curves[section][lam]}")
+    return "\n".join(rows) + "\n"
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.infile).read_text(), parse_constant=_reject_constant)
@@ -616,26 +654,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"report {args.infile} does not carry schema_version={SCHEMA_VERSION}"
         )
-    for line in _summary_lines(doc):
+    # Everything is read before anything is printed or written.
+    try:
+        lines = _summary_lines(doc)
+        if args.out:
+            fmt = _resolve_format(args.format)
+            text = dumps_document(doc) if fmt == "json" else _curves_csv(doc)
+    except KeyError as exc:
+        raise ConfigError(f"report {args.infile} lacks the key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(f"report {args.infile} is malformed: {exc}") from None
+    for line in lines:
         print(line)
     if args.out:
-        fmt = _resolve_format(args.format)
-        if fmt == "json":
-            Path(args.out).write_text(dumps_document(doc))
-        else:
-            rows = ["section,lambda,value"]
-            curves = {}
-            analysis = doc.get("analysis", {})
-            if doc["sequence"]["kind"] == "real":
-                curves = analysis.get("tauber", {}).get("curves", {})
-            else:
-                for label, comp in analysis.get("tauber", {}).get("components", {}).items():
-                    for name, curve in comp.get("curves", {}).items():
-                        curves[f"{label}.{name}"] = curve
-            for section in sorted(curves):
-                for lam in sorted(curves[section], key=float):
-                    rows.append(f"{section},{lam},{curves[section][lam]}")
-            Path(args.out).write_text("\n".join(rows) + "\n")
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     return 0
 
 
@@ -686,6 +719,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "report":

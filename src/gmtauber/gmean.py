@@ -11,8 +11,9 @@ and P_n, whose one extended-precision rule lives here. _prefix_sums
 builds S, in place, as the one full-length longdouble array; P stays the
 float64 WeightSequence.P and is widened to longdouble only where it meets
 S: in _log_means, the buffered division that gives the float64
-log-means, and in _block_means, for tauber's condition curves.
-GeoMeanState follows the same rule one index at a time.
+log-means, and in _block_means, for tauber's condition curves (beside
+it, _block_deviations serves the slow-oscillation ones). GeoMeanState
+follows the same rule one index at a time.
 """
 
 import math
@@ -98,18 +99,68 @@ def _log_means(S: np.ndarray, P: np.ndarray) -> np.ndarray:
     return means
 
 
-def _block_means(
-    x: np.ndarray, S: np.ndarray, P: np.ndarray, ns: np.ndarray, lns: np.ndarray, side: int
+def _range_reduce(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, op: np.ufunc
 ) -> np.ndarray:
-    """|sum_{k=lo+1}^{hi} p_k (x_k - x_n)| / (P_hi - P_lo) at the pairs
-    whose partial sums move, with (lo, hi) = (n, lambda_n) on side 1 and
-    (lambda_n, n) on side 2: the block means of tauber's condition curves
-    (side 2 flips the numerator's sign, which rounding leaves exact)."""
-    lo, hi = (ns, lns) if side == 1 else (lns, ns)
+    """op.reduce(values[lo[i] : hi[i] + 1]) for every i (needs lo <= hi).
+
+    Sparse table built one level at a time: level k holds op over every
+    run of 2^k values, and answers the queries whose length lies in
+    [2^k, 2^(k+1)) with two overlapping runs before the next level
+    replaces it. At most two levels are alive, so time is
+    O(len(values) * log(max length) + len(lo)) and extra memory
+    O(len(values) + len(lo)). op must be idempotent (max or min), which
+    makes the answers exact.
+    """
+    _, exp = np.frexp(hi - lo + 1)
+    level = exp - 1  # floor(log2(length)), exact for lengths below 2^53
+    order = np.argsort(level, kind="stable")
+    ranked = level[order]
+    top = int(ranked[-1])
+    bounds = np.searchsorted(ranked, np.arange(top + 2))
+    out = np.empty(lo.size, dtype=values.dtype)
+    table = values
+    for k in range(top + 1):
+        if k:
+            half = 1 << (k - 1)
+            table = op(table[:-half], table[half:])
+        q = order[bounds[k] : bounds[k + 1]]
+        if q.size:
+            out[q] = op(table[lo[q]], table[hi[q] - (1 << k) + 1])
+    return out
+
+
+def _block_means(
+    x: np.ndarray, S: np.ndarray, P: np.ndarray, ns: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """|sum_{k=lo+1}^{hi} p_k (x_k - x_n)| / (P_hi - P_lo) at the blocks
+    (lo, hi] of weights._lambda_blocks whose partial sums move, for tauber's
+    condition curves (|.| drops the sign flip of lambda < 1 blocks exactly)."""
     dP = P[hi].astype(np.longdouble) - P[lo]
     numer = np.abs((S[hi] - S[lo]) - dP * x[ns])
     valid = dP > 0
     return numer[valid] / dP[valid]
+
+
+def _block_deviations(
+    x: np.ndarray, ns: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """max_{lo < m <= hi} |x_m - x_n| at the non-empty blocks (lo, hi] of
+    weights._lambda_blocks, for tauber's slow-oscillation curves: range
+    queries (_range_reduce) over the span the blocks cover, in
+    O(S log B + W) for S indices, blocks of at most B and W blocks."""
+    keep = hi > lo
+    if not keep.any():
+        return x[:0]
+    xn, lo, hi = x[ns[keep]], lo[keep] + 1, hi[keep]
+    base = int(lo.min())
+    span = x[base : int(hi.max()) + 1]
+    lo -= base
+    hi -= base
+    return np.maximum(
+        _range_reduce(span, lo, hi, np.maximum) - xn,
+        xn - _range_reduce(span, lo, hi, np.minimum),
+    )
 
 
 def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:

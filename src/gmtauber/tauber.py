@@ -8,19 +8,21 @@ report keeps the raw per-lambda curves so the trend stays visible, not
 just the scalar.
 
 Windows follow the lambda-window policy in `weights`: an omitted window
-is `default_report_window`, in the report and in every estimate.
+is `default_report_window`, in the report and in every estimate. Each
+curve is `_curve` of one `gmean` block statistic on the lambda blocks.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
 from .weights import LambdaGrid, WeightSequence, _lambda_blocks
 from .weights import default_report_window, usable_end  # noqa: F401 (re-exported)
-from .gmean import _block_means, _prefix_gbar_verdict, _prefix_sums
+from .gmean import _block_deviations, _block_means, _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [
     "TauberReport",
@@ -67,35 +69,15 @@ def _branch_min(
     return min(values)
 
 
-def _range_reduce(
-    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, op: np.ufunc
-) -> np.ndarray:
-    """op.reduce(values[lo[i] : hi[i] + 1]) for every i (needs lo <= hi).
-
-    Sparse table built one level at a time: level k holds op over every
-    run of 2^k values, and answers the queries whose length lies in
-    [2^k, 2^(k+1)) with two overlapping runs before the next level
-    replaces it. At most two levels are alive, so time is
-    O(len(values) * log(max length) + len(lo)) and extra memory
-    O(len(values) + len(lo)). op must be idempotent (max or min), which
-    makes the answers exact.
-    """
-    _, exp = np.frexp(hi - lo + 1)
-    level = exp - 1  # floor(log2(length)), exact for lengths below 2^53
-    order = np.argsort(level, kind="stable")
-    ranked = level[order]
-    top = int(ranked[-1])
-    bounds = np.searchsorted(ranked, np.arange(top + 2))
-    out = np.empty(lo.size, dtype=values.dtype)
-    table = values
-    for k in range(top + 1):
-        if k:
-            half = 1 << (k - 1)
-            table = op(table[:-half], table[half:])
-        q = order[bounds[k] : bounds[k + 1]]
-        if q.size:
-            out[q] = op(table[lo[q]], table[hi[q] - (1 << k) + 1])
-    return out
+def _curve(per_block: Callable[..., np.ndarray], blocks: Iterable) -> dict[float, float]:
+    """exp of the max of per_block(ns, lo, hi) for each lambda of a block
+    walk (weights._lambda_blocks); a lambda whose array is empty is omitted."""
+    curve: dict[float, float] = {}
+    for lam, ns, lo, hi in blocks:
+        values = per_block(ns, lo, hi)
+        if values.size:
+            curve[lam] = _safe_exp(float(values.max()))
+    return curve
 
 
 def slow_oscillation_curve(
@@ -109,32 +91,10 @@ def slow_oscillation_curve(
     Forward (lambda > 1): max_{n < m <= lambda_n} |u_m/u_n|*.
     Backward (lambda < 1): max_{lambda_n < m <= n} |u_n/u_m|*.
     Lambdas whose blocks are empty for every n in the window are omitted.
-
-    Block maxima and minima come from range queries over the span the
-    blocks cover (see _range_reduce): O(S log B + W) per lambda for a
-    span of S indices, blocks of at most B and a window of W.
     """
     x = as_logs(u)
-    window.check_fits(x.size)
     branch = grid.below_one if backward else grid.above_one
-    curve: dict[float, float] = {}
-    for lam, ns, lns in _lambda_blocks(branch, window, x.size):
-        lo, hi = (lns + 1, ns) if backward else (ns + 1, lns)
-        keep = hi >= lo
-        if not keep.any():
-            continue
-        n, lo, hi = ns[keep], lo[keep], hi[keep]
-        base = int(lo.min())
-        span = x[base : int(hi.max()) + 1]
-        lo -= base
-        hi -= base
-        xn = x[n]
-        dev = np.maximum(
-            _range_reduce(span, lo, hi, np.maximum) - xn,
-            xn - _range_reduce(span, lo, hi, np.minimum),
-        )
-        curve[lam] = _safe_exp(float(dev.max()))
-    return curve
+    return _curve(partial(_block_deviations, x), _lambda_blocks(branch, window, x.size))
 
 
 def slow_oscillation_estimate(
@@ -177,26 +137,9 @@ def tauber_condition_curve(
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     x = as_logs(u)
-    window.check_fits(x.size)
-    return _condition_curve(x, _prefix_sums(x, w), w.P[: x.size], grid, window, side)
-
-
-def _condition_curve(
-    x: np.ndarray,
-    S: np.ndarray,
-    P: np.ndarray,
-    grid: LambdaGrid,
-    window: TailWindow,
-    side: int,
-) -> dict[float, float]:
-    """tauber_condition_curve on the prefix sums S and P (gmean._block_means)."""
     branch = grid.above_one if side == 1 else grid.below_one
-    curve: dict[float, float] = {}
-    for lam, ns, lns in _lambda_blocks(branch, window, x.size):
-        means = _block_means(x, S, P, ns, lns, side)
-        if means.size:
-            curve[lam] = _safe_exp(float(means.max()))
-    return curve
+    means = partial(_block_means, x, _prefix_sums(x, w), w.P[: x.size])
+    return _curve(means, _lambda_blocks(branch, window, x.size))
 
 
 def tauber_con1_estimate(
@@ -316,11 +259,12 @@ def recoverability_report(
     S, P = _prefix_sums(x, w), w.P[: x.size]
     gbar = _prefix_gbar_verdict(S, P, thresholds.gbar_tol, window)
 
+    means = partial(_block_means, x, S, P)
     curves = {
-        "con1": _condition_curve(x, S, P, grid, window, side=1),
-        "con2": _condition_curve(x, S, P, grid, window, side=2),
+        name: _curve(means, _lambda_blocks(branch[name], window, x.size))
+        for name in ("con1", "con2")
     }
-    del S
+    del S, means
     curves["slow_osc_forward"] = slow_oscillation_curve(x, grid, window, backward=False)
     curves["slow_osc_backward"] = slow_oscillation_curve(x, grid, window, backward=True)
     est = {name: min(curve.values(), default=math.inf) for name, curve in curves.items()}

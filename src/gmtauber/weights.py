@@ -1,6 +1,7 @@
 """Weight sequences p_n, their partial sums P_n, the lambda-index map,
 and the one lambda-window policy: `usable_end`, `default_report_window`
-and the block walk `_lambda_blocks` that every per-lambda estimator uses.
+and the block walk `_lambda_blocks`, which every per-lambda estimator
+uses and which alone orients each block from lambda's side of 1.
 
 Also hosts an empirical membership diagnostic for the class of weights
 whose partial-sum ratios P_{lambda_n}/P_n stay bounded away from 1 for
@@ -185,10 +186,12 @@ def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
 
 def _lambda_blocks(
     lambdas: tuple[float, ...], window: TailWindow, length: int
-) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """(lambda, ns, lns = floor(lambda * ns)) for each lambda, with ns the
-    window's indices. Raises before yielding anything if the largest
-    lambda's last block leaves a sequence of `length`."""
+) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """(lambda, ns, lo, hi) per lambda: ns the window's indices, (lo, hi]
+    each n's block, (n, lambda_n] if lambda > 1 and (lambda_n, n] if not,
+    with lambda_n = floor(lambda * n). Raises before yielding if the window
+    or the largest lambda's last block leaves a sequence of `length`."""
+    window.check_fits(length)
     lam = max(lambdas, default=0.0)
     top = math.floor(lam * window.end_index)
     if top >= length:
@@ -198,7 +201,8 @@ def _lambda_blocks(
         )
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     for lam in lambdas:
-        yield lam, ns, np.floor(lam * ns).astype(np.int64)
+        lns = np.floor(lam * ns).astype(np.int64)
+        yield (lam, ns, ns, lns) if lam > 1 else (lam, ns, lns, ns)
 
 
 @dataclass(frozen=True)
@@ -228,9 +232,10 @@ def sva_plus_estimate(
     if window is None:
         window = default_report_window(len(w), grid)
     window.check_fits(len(w), "weights")
+    # lambda_n is the end of n's block that is not n: lo + hi - n.
     per_lambda = {
-        lam: float(np.min(np.abs(w.P[lns] / w.P[ns] - 1.0)))
-        for lam, ns, lns in _lambda_blocks(grid.values, window, len(w))
+        lam: float(np.min(np.abs(w.P[lo + hi - ns] / w.P[ns] - 1.0)))
+        for lam, ns, lo, hi in _lambda_blocks(grid.values, window, len(w))
     }
     verdict = all(est > floor for est in per_lambda.values())
     return SvaPlusEstimate(per_lambda=per_lambda, floor=floor, verdict=verdict, window=window)

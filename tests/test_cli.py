@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from gmtauber import generators
 from gmtauber.cli import dumps_document, main
 from gmtauber.tauber import default_report_window
 from gmtauber.weights import LambdaGrid
@@ -506,6 +508,106 @@ class TestReportCommand:
         notjson = tmp_path / "notjson.txt"
         notjson.write_text("plain text")
         assert run_cli("report", "--in", str(notjson)) == 2
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("schema-only", "lacks the key 'sequence'"),
+            ("no-limit-estimate", "lacks the key 'limit_estimate'"),
+            ("sequence-not-an-object", "is malformed: list indices"),
+            ("lambda-not-a-number", "is malformed: could not convert string to float"),
+        ],
+    )
+    def test_malformed_schema_1_report(self, tmp_path, capsys, edit, message):
+        doc_path = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "200",
+            "--no-timestamp", "--out", str(doc_path),
+        ) == 0
+        doc = load(doc_path)
+        if edit == "schema-only":
+            doc = {"schema_version": 1}
+        elif edit == "no-limit-estimate":
+            del doc["analysis"]["limit_estimate"]
+        elif edit == "sequence-not-an-object":
+            doc["sequence"] = []
+        else:
+            doc["analysis"]["tauber"]["curves"]["con1"]["abc"] = 1.0
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "curves.csv"
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(doc_path), "--format", "csv", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: report {doc_path} ")
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestOutPath:
+    """An --out that cannot be written exits 2 naming the flag: a missing
+    directory or a directory is rejected before any work, and an OSError
+    while writing is caught too."""
+
+    RUNS = {
+        "analyze-json": ("analyze", "--generator", "ex2", "--n-max", "200", "--no-timestamp"),
+        "analyze-csv": ("analyze", "--generator", "ex2", "--n-max", "200",
+                        "--format", "csv", "--no-timestamp"),
+        "ifn-analyze": ("ifn-analyze", "--generator", "ex3-ifn", "--n-max", "200",
+                        "--no-timestamp"),
+        "generate": ("generate", "--generator", "ex2", "--n-max", "20"),
+    }
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(generators, "generate_array", refuse)
+
+    def _report(self, tmp_path) -> str:
+        doc_path = tmp_path / "r.json"
+        assert run_cli(*self.RUNS["analyze-json"], "--out", str(doc_path)) == 0
+        return str(doc_path)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_missing_directory(self, tmp_path, capsys, no_work, run):
+        out = tmp_path / "nodir" / "x.out"
+        assert run_cli(*self.RUNS[run], "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {out.parent} is not an existing directory\n"
+        )
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_directory(self, tmp_path, capsys, no_work, run):
+        assert run_cli(*self.RUNS[run], "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_report_command(self, tmp_path, capsys, target):
+        doc_path = self._report(tmp_path)
+        out = tmp_path / "nodir" / "y.json" if target == "missing-dir" else tmp_path
+        capsys.readouterr()
+        assert run_cli("report", "--in", doc_path, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out {out}")
+        assert captured.out == ""
+
+    def test_csv_sidecar_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        (tmp_path / "r.csv.json").mkdir()
+        assert run_cli(*self.RUNS["analyze-csv"], "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}.json for --out: ")
+        assert "Is a directory" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("run", ["analyze-json", "generate"])
+    def test_write_error(self, capsys, run):
+        assert run_cli(*self.RUNS[run], "--out", "/dev/full") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full for --out: ")
+        assert "No space left on device" in err
 
 
 class TestModuleEntryPoint:

@@ -295,6 +295,32 @@ class TestLandauEstimates:
             landau_estimates([L(1.0)] * 10, TailWindow(0, 9))
 
 
+@st.composite
+def landau_cases(draw):
+    """Log sequences with every |x| well below 709 (so no estimate
+    saturates), a grid on both branches and a window in the usable range.
+    'harmonic' (x_k = a H_k) makes the link nearly tight."""
+    kind = draw(st.sampled_from(["harmonic", "bounded-steps", "walk", "small-int"]))
+    length = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(1.0, length)
+    if kind == "harmonic":
+        steps = draw(st.floats(0.1, 5.0)) / k
+    elif kind == "bounded-steps":
+        steps = rng.uniform(-1.0, 1.0, length - 1) * draw(st.floats(0.1, 5.0)) / k
+    elif kind == "walk":
+        steps = rng.normal(0.0, 1.0, length - 1)
+    else:
+        steps = rng.integers(-2, 3, length - 1).astype(float)
+    x = np.cumsum(np.concatenate(([rng.normal()], steps)))
+    below = draw(st.lists(_lambdas_below, min_size=1, max_size=4, unique=True))
+    above = draw(st.lists(_lambdas_above, min_size=1, max_size=4, unique=True))
+    grid = LambdaGrid.of(below + above)
+    bound = usable_end(length, grid)
+    start = draw(st.integers(0, bound))
+    return x, grid, TailWindow(start, draw(st.integers(start, bound)))
+
+
 class TestLemmaHierarchy:
     def test_bounded_ratio_power_controls_slow_oscillation(self):
         # If |(u_n/u_{n-1})^n|* stays under H, in-block ratios stay under
@@ -314,6 +340,47 @@ class TestLemmaHierarchy:
             assert bound <= H * (1 + 1e-12)
             curve = slow_oscillation_curve(u, LambdaGrid.of([lam]), window)
             assert curve[lam] <= H ** (lam - 1.0) * (1 + 1e-12)
+
+    @given(landau_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_landau_bound_controls_slow_oscillation(self, case):
+        """ln slow_osc(lambda) <= L |ln lambda| on both branches, with
+        L = max k |x_k - x_{k-1}| over the span the blocks cover.
+
+        In exact arithmetic, for m in n's block, |x_m - x_n| <= L sum 1/k
+        over the k between them, <= L ln(m/n) (lambda > 1) or L ln(n/m)
+        (lambda < 1), and m/n <= lambda or n/m < 1/lambda.
+
+        Slack, with u = 2^-53 and EPS = 2u: floor(fl(lambda n)) can
+        exceed lambda n when the product rounds up to an integer, so m/n
+        <= lambda (1 + u) and the exact bound is L (|ln lambda| + u). The
+        curve value is fl(exp(fl(x_m - x_n))) (the block extrema are
+        exact), so its math.log is at most d (1 + 4u) + 3u for the exact
+        deviation d, counting u for the subtraction and an ulp each for
+        exp and log. The bound computed below, fl(L^ fl(|log lambda|))
+        with L^ = fl(k fl(|x_k - x_{k-1}|)), is at least
+        L |ln lambda| (1 - 6u). Together: log(value) <=
+        bound (1 + 6 EPS) + L^ EPS + 2 EPS, which the test loosens to
+        8 EPS in the relative term.
+        """
+        x, grid, window = case
+        ns = np.arange(window.start_index, window.end_index + 1)
+        eps = np.finfo(float).eps
+        checked = 0
+        for backward in (False, True):
+            curve = slow_oscillation_curve(x, grid, window, backward=backward)
+            for lam, value in curve.items():
+                lns = np.floor(lam * ns).astype(np.int64)
+                lo, hi = (lns, ns) if backward else (ns, lns)
+                keep = hi > lo
+                k = np.arange(lo[keep].min() + 1, hi[keep].max() + 1)
+                L = float(np.max(k * np.abs(x[k] - x[k - 1])))
+                bound = L * abs(math.log(lam))
+                assert math.log(value) <= bound * (1 + 8 * eps) + (L + 2) * eps, (
+                    backward, lam, math.log(value), bound,
+                )
+                checked += 1
+        assert checked or window.end_index == 0
 
 
 class TestRecoverabilityReport:

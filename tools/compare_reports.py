@@ -9,9 +9,12 @@ file, both IFN modes and `--format csv`, `analyze --format csv` at
 50001 indices, `ifn-analyze --format csv` at 20001 indices, which the
 CSV writer splits across processes where two CPUs are usable, `--theta
 3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
-simplex boundary in both modes, and an IFN file that only the per-line
-reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens)
-runs once under each tree in the same scratch directory, with
+simplex boundary in both modes, an IFN file that only the per-line
+reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
+and two runs that skip lambdas: a lambda whose blocks are all empty in
+con1 and slow_osc_forward, and custom weights p_0 = 1 followed by zeros,
+which skip every condition lambda and give `inf` estimates) runs once
+under each tree in the same scratch directory, with
 `--no-timestamp` wherever a report is written. The exit code, stdout
 and every output file must match byte for byte. Each `--bench-seed`
 adds the three benchmark workloads of `perfbench/workloads.py` at full
@@ -68,6 +71,7 @@ def _inputs(workdir: Path) -> None:
         mu_text = "2_5e-2" if n % 101 == 0 else repr(mu)
         per_line.append(f"{mu_text},{nu!r}")
     (workdir / IFN_PER_LINE_FILE).write_bytes("".join(f"{ln}\r\n" for ln in per_line).encode())
+    (workdir / ZERO_WEIGHTS_FILE).write_text("1\n" + "0\n" * 1000)
 
 
 # IFN files on the edge of the simplex. "over": pairs with mu + nu in
@@ -80,6 +84,8 @@ IFN_BOUNDARY_FILES = ("ifn_over.txt", "ifn_zero_nu.txt", "ifn_zero_mu.txt", "ifn
 # Pairs that float() takes and numpy's C parser does not, so the IFN
 # reader falls back to its per-line loop.
 IFN_PER_LINE_FILE = "ifn_per_line.txt"
+# p_0 = 1 and then zeros: P never moves, so every condition block is skipped.
+ZERO_WEIGHTS_FILE = "w_zeros.txt"
 
 
 def _ifn_boundary_files(rng: random.Random) -> dict[str, list[str]]:
@@ -150,6 +156,13 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "--out", "g.csv", NO_TS], ["g.csv", "g.csv.json"]),
         (["ifn-analyze", "--in", IFN_PER_LINE_FILE, "--mode", "otimes", "--lambda-grid",
           "0.99,1.01", "--format", "csv", "--out", "p.csv", NO_TS], ["p.csv", "p.csv.json"]),
+    ]
+    cases += [
+        # lambda = 1.001 leaves every block (n, floor(1.001 n)] with n <= 400 empty.
+        (["analyze", "--generator", "exp-decay:c=2", "--n-max", "1000", "--lambda-grid",
+          "1.001,0.999,2", "--window", "1:400", NO_TS], []),
+        (["analyze", "--generator", "exp-decay:c=2", "--n-max", "1000",
+          "--weights", f"custom:{ZERO_WEIGHTS_FILE}", NO_TS], []),
     ]
     for name in IFN_BOUNDARY_FILES:
         for mode in ("oplus", "otimes"):
