@@ -482,14 +482,17 @@ def _usable_cpus() -> int:
 
 def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
     """Rows 'n,repr(c[n]),...' in chunks of CSV_CHUNK_ROWS, so that only
-    one chunk's strings are alive at a time in each process.
+    one chunk's text is alive at a time in each process.
 
-    Formatting is about a microsecond per float, so the rows are split on
-    chunk boundaries into one contiguous part per usable CPU. The caller
-    formats part 0 straight into f; each later part is formatted by a
-    forked child into an unlinked temporary file, which the caller
-    appends to f in order once every child has exited.
+    floatfmt formats a float in a few hundred nanoseconds, a fair share
+    of a CSV run, so the rows are still split on chunk boundaries into
+    one contiguous part per usable CPU. The caller formats part 0
+    straight into f; each later part is formatted by a forked child into
+    an unlinked temporary file, which the caller appends to f in order
+    once every child has exited.
     """
+    from . import floatfmt  # imported here once, so that the children fork with it
+
     length = columns[0].size
     chunks = (length + CSV_CHUNK_ROWS - 1) // CSV_CHUNK_ROWS
     parts = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
@@ -541,11 +544,13 @@ def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int) -> i
 
 
 def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int) -> None:
+    """Rows start..stop-1, one chunk at a time, each chunk's text made by
+    floatfmt.rows in one piece."""
+    from . import floatfmt  # compiled on first use: runs that print no floats skip it
+
     for lo in range(start, stop, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, stop)
-        cells = [map(repr, c[lo:hi].tolist()) for c in columns]
-        f.write("\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells))))
-        f.write("\n")
+        table = np.column_stack([c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns])
+        f.write(floatfmt.rows(table, first_index=lo).decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,7 @@ def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int) -> N
 def _cmd_generate(args: argparse.Namespace) -> int:
     kind = generators.generator_kind(args.generator)
     n_max = _n_max_or_default(args.n_max, kind)
-    values = generators.generate_array(args.generator, n_max).tolist()
+    values = generators.generate_array(args.generator, n_max)
     if kind == "real":
         text = generators.real_sequence_text(values)
     else:

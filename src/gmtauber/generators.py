@@ -183,19 +183,26 @@ def generate(spec: str, n_max: int) -> list:
     return list(IFNRows(values))
 
 
-def real_sequence_text(logs: Sequence[float]) -> str:
-    """A real sequence file: a 'log:' header, then one log value per line."""
-    return "\n".join([LOG_HEADER, *map(repr, logs)]) + "\n"
+def real_sequence_text(logs: Sequence[float] | np.ndarray) -> str:
+    """A real sequence file: a 'log:' header, then the repr of one log
+    value per line."""
+    from . import floatfmt  # compiled on first use: runs that print no floats skip it
+
+    lines = floatfmt.rows(np.asarray(logs, dtype=np.float64).reshape(-1, 1))
+    return f"{LOG_HEADER}\n{lines.decode('ascii')}"
 
 
-def ifn_sequence_text(mu: Sequence[float], nu: Sequence[float]) -> str:
-    """An IFN sequence file: one 'mu,nu' pair per line."""
-    return "\n".join(f"{m!r},{v!r}" for m, v in zip(mu, nu)) + "\n"
+def ifn_sequence_text(mu: Sequence[float] | np.ndarray, nu: Sequence[float] | np.ndarray) -> str:
+    """An IFN sequence file: one 'repr(mu),repr(nu)' pair per line."""
+    from . import floatfmt  # compiled on first use: runs that print no floats skip it
+
+    pairs = np.column_stack([np.asarray(mu, dtype=np.float64), np.asarray(nu, dtype=np.float64)])
+    return floatfmt.rows(pairs).decode("ascii") or "\n"  # no pairs: one empty line
 
 
 def write_real_sequence(path: str | Path, seq: Sequence[LogReal] | np.ndarray) -> None:
     """One log value per line under a 'log:' header."""
-    Path(path).write_text(real_sequence_text(as_logs(seq).tolist()))
+    Path(path).write_text(real_sequence_text(as_logs(seq)))
 
 
 def _parse_log(line: str) -> float:
@@ -233,7 +240,7 @@ def read_real_sequence(path: str | Path) -> list[LogReal]:
 
 def write_ifn_sequence(path: str | Path, seq: Sequence[IFN]) -> None:
     """One 'mu,nu' pair per line."""
-    Path(path).write_text(ifn_sequence_text(*as_rows(seq).tolist()))
+    Path(path).write_text(ifn_sequence_text(*as_rows(seq)))
 
 
 def read_ifn_sequence(path: str | Path) -> IFNRows:

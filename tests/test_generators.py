@@ -10,10 +10,12 @@ from gmtauber.generators import (
     generate,
     generate_array,
     generator_kind,
+    ifn_sequence_text,
     list_generators,
     read_ifn_sequence,
     read_real_logs,
     read_real_sequence,
+    real_sequence_text,
     write_ifn_sequence,
     write_real_sequence,
 )
@@ -130,6 +132,19 @@ class TestSequenceFiles:
             read_real_sequence(path)
         with pytest.raises(ValueError):
             read_ifn_sequence(path)
+
+    @pytest.mark.parametrize("length", [0, 1, 5, 20_000])
+    def test_text_is_the_repr_of_each_value(self, length):
+        """The one-line-per-value formats hold repr of each float, for
+        lists and arrays alike."""
+        rng = np.random.default_rng(length)
+        logs = rng.standard_normal(length) * np.float64(1e3) ** rng.integers(-3, 4, length)
+        mu, nu = rng.uniform(0.0, 0.5, (2, length))
+        want_real = "\n".join(["log:", *map(repr, logs.tolist())]) + "\n"
+        want_ifn = "\n".join(f"{m!r},{v!r}" for m, v in zip(mu.tolist(), nu.tolist())) + "\n"
+        for real, pair in ((logs, (mu, nu)), (logs.tolist(), (mu.tolist(), nu.tolist()))):
+            assert real_sequence_text(real) == want_real
+            assert ifn_sequence_text(*pair) == want_ifn
 
 
 def _bits(values) -> np.ndarray:

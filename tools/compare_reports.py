@@ -11,9 +11,13 @@ CSV writer splits across processes where two CPUs are usable, `--theta
 3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
 simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
-and two runs that skip lambdas: a lambda whose blocks are all empty in
+two runs that skip lambdas: a lambda whose blocks are all empty in
 con1 and slow_osc_forward, and custom weights p_0 = 1 followed by zeros,
-which skip every condition lambda and give `inf` estimates) runs once
+which skip every condition lambda and give `inf` estimates, and a `log:`
+file of edge values through `analyze --format csv`, whose `log_u`
+column reaches every branch of the CSV float formatter: signed zeros,
+subnormals, the limits of the positional layout, two- and three-digit
+exponents, integers and dyadic values) runs once
 under each tree in the same scratch directory, with
 `--no-timestamp` wherever a report is written. The exit code, stdout
 and every output file must match byte for byte. Each `--bench-seed`
@@ -72,6 +76,7 @@ def _inputs(workdir: Path) -> None:
         per_line.append(f"{mu_text},{nu!r}")
     (workdir / IFN_PER_LINE_FILE).write_bytes("".join(f"{ln}\r\n" for ln in per_line).encode())
     (workdir / ZERO_WEIGHTS_FILE).write_text("1\n" + "0\n" * 1000)
+    (workdir / EDGE_VALUES_FILE).write_text("log:\n" + "".join(f"{v}\n" for v in EDGE_VALUES) * 40)
 
 
 # IFN files on the edge of the simplex. "over": pairs with mu + nu in
@@ -86,6 +91,16 @@ IFN_BOUNDARY_FILES = ("ifn_over.txt", "ifn_zero_nu.txt", "ifn_zero_mu.txt", "ifn
 IFN_PER_LINE_FILE = "ifn_per_line.txt"
 # p_0 = 1 and then zeros: P never moves, so every condition block is skipped.
 ZERO_WEIGHTS_FILE = "w_zeros.txt"
+# Log values at the edges of repr's layout and of Ryu's branches (exact
+# trailing zeros, a power of two's lower bound, subnormals), repeated.
+EDGE_VALUES_FILE = "edge_values.txt"
+EDGE_VALUES = (
+    "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
+    "1e-05", "-1e-05", "0.0001", "9.999999999999999e-05", "1e+16", "-1e+16",
+    "9999999999999998.0", "1e+22", "1e-100", "1e+100", "-1e+99", "0.5", "3.0", "1024.0",
+    "0.125", "-2.5", "9007199254740993.0", "0.1", "0.30000000000000004", "1e+300",
+    "-1e+300", "123456789012345678.0",
+)
 
 
 def _ifn_boundary_files(rng: random.Random) -> dict[str, list[str]]:
@@ -163,6 +178,8 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "1.001,0.999,2", "--window", "1:400", NO_TS], []),
         (["analyze", "--generator", "exp-decay:c=2", "--n-max", "1000",
           "--weights", f"custom:{ZERO_WEIGHTS_FILE}", NO_TS], []),
+        (["analyze", "--in", EDGE_VALUES_FILE, "--format", "csv", "--out", "e.csv", NO_TS],
+         ["e.csv", "e.csv.json"]),
     ]
     for name in IFN_BOUNDARY_FILES:
         for mode in ("oplus", "otimes"):
