@@ -141,10 +141,8 @@ def _layout_tables() -> dict[str, np.ndarray]:
             # positional: every digit, and at least one after the '.'
             grow.append(len(prefix) + (point is not None))
             least.append(0 if point is None else point + 2)
-    d = np.arange(10_000, dtype=np.uint64)
-    quad = np.zeros(10_000, dtype=np.uint64)
-    for place in range(4):
-        quad |= ((d // _U64(10 ** (3 - place))) % _U64(10) + _U64(ord("0"))) << _U64(8 * place)
+    pair = _words([b"%02d" % d for d in range(100)], 8)[:, 0]
+    quad = (pair[:, None] | (pair[None, :] << _U64(16))).reshape(-1)
     # An integer 0 <= v < 10^17 whose double has the biased exponent e has
     # as many digits as 2^(e - 1023), digits_below[e], or one more if
     # v >= power_above[e]. Where v rounds up to a power of two as a
