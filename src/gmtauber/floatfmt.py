@@ -49,8 +49,8 @@ _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 _CELL_BYTES = 24
 _EXPONENT_BIAS = 330  # row of the exponent 0 in the suffix table: -324 <= E <= 308
 # Values per block of `rows`. A block's temporaries are 64 KB arrays;
-# twice that measured several times slower per operation here, where
-# each such array came from freshly mapped pages.
+# 128 KB ones measured several times slower per operation, each coming
+# from freshly mapped pages (glibc maps allocations of 128 KB and up).
 _BLOCK = 1 << 13
 
 
