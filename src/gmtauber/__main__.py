@@ -1,5 +1,24 @@
+"""The `gmt` command: `python -m gmtauber ...` and the `gmt` console script.
+
+`gmt` evaluates its means and diagnostics with elementwise numpy and
+never calls BLAS, yet numpy's OpenBLAS starts a thread pool when it
+loads, whose idle thread spins for about 0.1 s of CPU in every run. So
+`run` holds OpenBLAS to one thread before numpy is first imported,
+unless the caller has set OPENBLAS_NUM_THREADS. Importing `gmtauber`
+or `gmtauber.cli` as a library changes no environment variable.
+"""
+
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def run() -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main
+
+    return main()
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -465,8 +465,8 @@ def _emit(result: RunResult, config: RunConfig) -> None:
     if not config.out:
         raise ConfigError("--format csv needs --out (a sidecar JSON is written too)")
     out, sidecar = Path(config.out), Path(config.out + ".json")
-    with _writing(out), out.open("w") as f:
-        f.write(",".join(result.header) + "\n")
+    with _writing(out), out.open("wb") as f:
+        f.write((",".join(result.header) + "\n").encode("ascii"))
         _write_csv_rows(f, result.columns)
     with _writing(sidecar):
         sidecar.write_text(text)
@@ -481,8 +481,9 @@ def _usable_cpus() -> int:
 
 
 def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
-    """Rows 'n,repr(c[n]),...' in chunks of CSV_CHUNK_ROWS, so that only
-    one chunk's text is alive at a time in each process.
+    """Rows 'n,repr(c[n]),...' as ASCII bytes into the binary file f, in
+    chunks of CSV_CHUNK_ROWS, so that only one chunk's text is alive at
+    a time in each process. Rows end in a bare LF on every platform.
 
     floatfmt formats a float in a few hundred nanoseconds, a fair share
     of a CSV run, so the rows are still split on chunk boundaries into
@@ -501,7 +502,7 @@ def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
         children = []
         try:
             for start, stop in zip(cuts[1:], cuts[2:]):
-                tmp = stack.enter_context(tempfile.TemporaryFile("w+"))
+                tmp = stack.enter_context(tempfile.TemporaryFile("w+b"))
                 children.append((_fork_rows(tmp, columns, start, stop), tmp, start, stop))
             _format_rows(f, columns, cuts[0], cuts[1])
         finally:
@@ -519,10 +520,12 @@ def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
 def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int) -> int:
     """Fork a child that formats rows start..stop-1 into tmp; its pid."""
     with warnings.catch_warnings():
-        # Python >= 3.12 warns when a multi-threaded process forks, and
-        # numpy's OpenBLAS thread pool makes this one so. OpenBLAS shuts
+        # Python >= 3.12 warns when a multi-threaded process forks. The
+        # `gmt` entry holds OpenBLAS to one thread, so a `gmt` run forks
+        # with no other thread; an in-process caller of main may still
+        # run numpy's OpenBLAS pool or threads of its own. OpenBLAS shuts
         # its pool down around fork through pthread_atfork, and the child
-        # only formats strings and writes one file.
+        # only formats bytes and writes one file.
         warnings.filterwarnings(
             "ignore", r"This process .* is multi-threaded", DeprecationWarning
         )
@@ -544,13 +547,13 @@ def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int) -> i
 
 
 def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int) -> None:
-    """Rows start..stop-1, one chunk at a time, each chunk's text made by
+    """Rows start..stop-1, one chunk at a time, each chunk's bytes made by
     floatfmt.rows in one piece."""
     from . import floatfmt  # compiled on first use: runs that print no floats skip it
 
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         table = np.column_stack([c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns])
-        f.write(floatfmt.rows(table, first_index=lo).decode("ascii"))
+        f.write(floatfmt.rows(table, first_index=lo))
 
 
 # ---------------------------------------------------------------------------

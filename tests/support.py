@@ -310,13 +310,14 @@ def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
 
 def write_csv_rows_oracle(f, columns: tuple[np.ndarray, ...], chunk_rows: int) -> None:
     """gmtauber.cli._write_csv_rows in one process: rows
-    'n,repr(c[n]),...' in chunks of chunk_rows."""
+    'n,repr(c[n]),...' as ASCII bytes into the binary file f, in chunks
+    of chunk_rows."""
     length = columns[0].size
     for start in range(0, length, chunk_rows):
         stop = min(start + chunk_rows, length)
         cells = [map(repr, c[start:stop].tolist()) for c in columns]
-        f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))))
-        f.write("\n")
+        f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))).encode("ascii"))
+        f.write(b"\n")
 
 
 # Object-level IFN layer: one IFN per element and per intermediate, the

@@ -18,7 +18,7 @@ from gmtauber import cli
 import support
 
 C = cli.CSV_CHUNK_ROWS
-HEADER = "n,a,b,c\n"
+HEADER = b"n,a,b,c\n"
 
 
 def _columns(length: int) -> tuple[np.ndarray, ...]:
@@ -33,14 +33,14 @@ def _columns(length: int) -> tuple[np.ndarray, ...]:
 
 
 def _write(path, columns) -> bytes:
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
         f.write(HEADER)  # buffered, unflushed when the children fork
         cli._write_csv_rows(f, columns)
     return path.read_bytes()
 
 
 def _oracle(path, columns) -> bytes:
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
         f.write(HEADER)
         support.write_csv_rows_oracle(f, columns, C)
     return path.read_bytes()

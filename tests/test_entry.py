@@ -1,0 +1,122 @@
+"""The package entry points: `import gmtauber` loads no submodule and
+not numpy, its lazy names are the submodules' own objects, library
+imports leave the environment alone, and the `gmt` entry holds
+OpenBLAS to one thread unless the caller chose a count. Each check runs
+in a fresh interpreter, since this one has numpy loaded already."""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(script: str, **env: str) -> str:
+    """Run script in a fresh interpreter with OPENBLAS_NUM_THREADS unset
+    unless given; its stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(p for p in (str(SRC), base.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, timeout=120,
+        env={**base, "PYTHONPATH": path, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_not_numpy():
+    out = _run(
+        """
+        import sys
+        import gmtauber
+        print(sorted(m for m in sys.modules
+                     if m == "numpy" or m.startswith(("numpy.", "gmtauber."))))
+        """
+    )
+    assert out == "[]\n"
+
+
+def test_lazy_names_are_listed_and_are_the_submodules_objects():
+    _run(
+        """
+        import importlib
+        import gmtauber
+
+        missing = set(gmtauber.__all__) - set(dir(gmtauber))  # before any access
+        assert not missing, missing
+        names = [n for n in gmtauber.__all__ if n != "__version__"]
+        assert len(names) == len(set(names)) == 52, names
+        for name in names:
+            module = importlib.import_module("gmtauber." + gmtauber._SOURCE[name])
+            assert getattr(gmtauber, name) is getattr(module, name), name
+        assert gmtauber.__version__ == "0.1.0"
+        assert gmtauber.tauber is importlib.import_module("gmtauber.tauber")
+        try:
+            gmtauber.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("no AttributeError")
+        """
+    )
+
+
+def test_library_use_leaves_the_environment_alone():
+    _run(
+        """
+        import io
+        import os
+        from contextlib import redirect_stdout
+
+        before = dict(os.environ)
+        import gmtauber.cli
+        from gmtauber import *
+        with redirect_stdout(io.StringIO()):
+            assert gmtauber.cli.main(["generate", "--generator", "ex2", "--n-max", "3"]) == 0
+        assert dict(os.environ) == before
+        """
+    )
+
+
+_GMT = """
+    import io
+    import os
+    import runpy
+    import sys
+    from contextlib import redirect_stdout
+
+    sys.argv = ["gmt", "generate", "--generator", "ex2", "--n-max", "3"]
+    with redirect_stdout(io.StringIO()) as out:
+        try:
+            runpy.run_module("gmtauber", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    assert out.getvalue().startswith("log:\\n"), out.getvalue()
+    assert "numpy" in sys.modules
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_gmt_entry_runs_numpy_on_one_thread():
+    assert _run(_GMT) == "1 1\n"
+
+
+def test_gmt_entry_keeps_a_caller_set_thread_count():
+    value, _ = _run(_GMT, OPENBLAS_NUM_THREADS="3").split()
+    assert value == "3"
+
+
+def test_console_script_is_the_entry():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert re.search(r'^gmt = "gmtauber\.__main__:run"$', pyproject, re.M)
+    import gmtauber.__main__ as entry
+
+    assert callable(entry.run)
