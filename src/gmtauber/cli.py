@@ -17,15 +17,14 @@ import sys
 import tempfile
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict
+from .mcore import LogReal, MTolerance, TailWindow
 from .weights import (
     LambdaGrid,
-    SvaPlusEstimate,
     WeightSequence,
     default_report_window,
     sva_plus_estimate,
@@ -34,7 +33,6 @@ from .weights import (
 from .gmean import gbar_verdict, transform_log_values
 from .tauber import ReportThresholds, TauberReport, recoverability_report
 from .ifn import (
-    IFN,
     IFNRows,
     IFNTauberReport,
     ifn_tauber_report,
@@ -71,76 +69,44 @@ def _num(x: float):
     return x
 
 
-def _logreal_dict(u: LogReal) -> dict:
-    return {"log": _num(u.log_value), "value": _num(u.value)}
+def _jsonable(value):
+    """The report form of a result value, directed by its type.
 
-
-def _ifn_dict(a: IFN) -> dict:
-    return {"mu": a.mu, "nu": a.nu}
-
-
-def _window_dict(win: TailWindow) -> dict:
-    return {"start": win.start_index, "end": win.end_index}
-
-
-def _verdict_dict(v: Verdict) -> dict:
-    if isinstance(v.limit, LogReal):
-        limit = _logreal_dict(v.limit)
-    elif isinstance(v.limit, IFN):
-        limit = _ifn_dict(v.limit)
-    else:
-        limit = v.limit
-    return {
-        "passed": v.passed,
-        "limit": limit,
-        "window": _window_dict(v.window),
-        "tolerance": v.tolerance,
-    }
-
-
-def _curve_dict(curve: dict[float, float]) -> dict:
-    return {repr(lam): _num(val) for lam, val in curve.items()}
-
-
-def _tauber_dict(rep: TauberReport) -> dict:
-    return {
-        "gbar_verdict": _verdict_dict(rep.gbar_verdict),
-        "con1_estimate": _num(rep.con1_estimate),
-        "con2_estimate": _num(rep.con2_estimate),
-        "slow_osc_estimate": _num(rep.slow_osc_estimate),
-        "slow_osc_backward_estimate": _num(rep.slow_osc_backward_estimate),
-        "landau_bound_estimate": _num(rep.landau_bound_estimate),
-        "landau_vanish": rep.landau_vanish,
-        "recovery_verdict": rep.recovery_verdict,
-        "theta": rep.theta,
-        "window": _window_dict(rep.window),
-        "curves": {name: _curve_dict(c) for name, c in rep.curves.items()},
-        "skipped_lambdas": {
-            name: [repr(lam) for lam in lams]
-            for name, lams in rep.skipped_lambdas.items()
-        },
-    }
-
-
-def _ifn_tauber_dict(rep: IFNTauberReport) -> dict:
-    return {
-        "mode": rep.mode,
-        "component_labels": list(rep.component_labels),
-        "components": {
-            rep.component_labels[0]: _tauber_dict(rep.first),
-            rep.component_labels[1]: _tauber_dict(rep.second),
-        },
-        "recovery_verdict": rep.recovery_verdict,
-    }
-
-
-def _sva_dict(est: SvaPlusEstimate) -> dict:
-    return {
-        "per_lambda": _curve_dict(est.per_lambda),
-        "floor": est.floor,
-        "verdict": est.verdict,
-        "window": _window_dict(est.window),
-    }
+    A dataclass becomes a dict keyed by its field names, a float dict key
+    its repr, a tuple or list a list, and a float passes through _num.
+    Four exceptions keep the document's established keys: a LogReal is
+    {"log", "value"}, a TailWindow {"start", "end"}, a TauberReport's
+    skipped lambdas are repr strings like the keys of its curves, and an
+    IFNTauberReport keys its two reports by its component labels.
+    """
+    if isinstance(value, LogReal):
+        return {"log": _num(value.log_value), "value": _num(value.value)}
+    if isinstance(value, TailWindow):
+        return {"start": value.start_index, "end": value.end_index}
+    if isinstance(value, IFNTauberReport):
+        reports = (value.first, value.second)
+        return {
+            "mode": value.mode,
+            "component_labels": list(value.component_labels),
+            "components": dict(zip(value.component_labels, map(_jsonable, reports))),
+            "recovery_verdict": value.recovery_verdict,
+        }
+    if is_dataclass(value):
+        doc = {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+        if isinstance(value, TauberReport):
+            doc["skipped_lambdas"] = {
+                name: [repr(lam) for lam in lams]
+                for name, lams in value.skipped_lambdas.items()
+            }
+        return doc
+    if isinstance(value, dict):
+        return {
+            repr(k) if isinstance(k, float) else k: _jsonable(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return _num(value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +205,7 @@ def build_weights(spec: str, length: int) -> WeightSequence:
             parts = tail.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"alternating weights need a,b — got {spec!r}")
-            w = WeightSequence.alternating(length, float(parts[0]), float(parts[1]))
-            return w
+            return WeightSequence.alternating(length, float(parts[0]), float(parts[1]))
         if name == "custom":
             if not tail:
                 raise ConfigError("custom weights need a file: custom:<path>")
@@ -350,7 +315,6 @@ def _windows_for(
 @dataclass
 class RunResult:
     doc: dict
-    kind: str
     columns: tuple[np.ndarray, ...]  # per-index CSV columns after n
     header: tuple[str, ...]
 
@@ -370,17 +334,14 @@ def run_real(config: RunConfig) -> RunResult:
 
     doc = _base_document(config, "real", x.size, source)
     doc["sequence"]["tail_log"] = x[-10:].tolist()
-    doc["weights"] = {"spec": config.weights_spec, "sva": _sva_dict(sva)}
+    doc["weights"] = {"spec": config.weights_spec, "sva": _jsonable(sva)}
     doc["analysis"] = {
-        "limit_estimate": _logreal_dict(gbar.limit),
-        "gbar": _verdict_dict(gbar),
+        "limit_estimate": _jsonable(gbar.limit),
+        "gbar": _jsonable(gbar),
         "means_tail_log": means[-10:].tolist(),
-        "tauber": _tauber_dict(tauber),
+        "tauber": _jsonable(tauber),
     }
-
-    return RunResult(
-        doc=doc, kind="real", columns=(x, means), header=("n", "log_u", "log_w")
-    )
+    return RunResult(doc=doc, columns=(x, means), header=("n", "log_u", "log_w"))
 
 
 def run_ifn(config: RunConfig) -> RunResult:
@@ -402,19 +363,18 @@ def run_ifn(config: RunConfig) -> RunResult:
     sva = sva_plus_estimate(w, grid, tauber_window)
 
     doc = _base_document(config, "ifn", len(seq), source)
-    doc["sequence"]["tail"] = [_ifn_dict(a) for a in seq[-10:]]
-    doc["weights"] = {"spec": config.weights_spec, "sva": _sva_dict(sva)}
+    doc["sequence"]["tail"] = _jsonable(list(seq[-10:]))
+    doc["weights"] = {"spec": config.weights_spec, "sva": _jsonable(sva)}
     doc["analysis"] = {
         "mode": mode,
-        "xi_estimate": _ifn_dict(xi_hat),
-        "mean_verdict": _verdict_dict(verdict),
+        "xi_estimate": _jsonable(xi_hat),
+        "mean_verdict": _jsonable(verdict),
         "plain_convergence": plain,
-        "means_tail": [_ifn_dict(m) for m in means[-10:]],
-        "tauber": _ifn_tauber_dict(tauber),
+        "means_tail": _jsonable(list(means[-10:])),
+        "tauber": _jsonable(tauber),
     }
     return RunResult(
         doc=doc,
-        kind="ifn",
         columns=(*seq.rows, *means.rows),
         header=("n", "mu", "nu", "mean_mu", "mean_nu"),
     )

@@ -6,6 +6,7 @@ sequences are one ``mu,nu`` pair per line. All generators produce
 indices 0..n_max inclusive.
 """
 
+import io
 import math
 import warnings
 from pathlib import Path
@@ -263,16 +264,20 @@ def read_ifn_sequence(path: str | Path) -> IFNRows:
     # str.splitlines() breaks as whitespace, so a file holding one goes
     # line by line.
     if not any(c in text for c in _SPLITLINES_ONLY_BREAKS):
-        pairs = _loadtxt_pairs(path)
+        pairs = _loadtxt_pairs(text)
         if pairs is not None:
             return IFNRows(simplex_rows(pairs.T))
     return _read_ifn_lines(text.splitlines(), path)
 
 
-def _loadtxt_pairs(path: str | Path) -> np.ndarray | None:
-    """The (n, 2) array np.loadtxt parses from the file, or None where it
-    fails, warns (as on a file with no data) or finds another shape."""
-    with open(path) as f, warnings.catch_warnings(record=True) as caught:
+def _loadtxt_pairs(text: str) -> np.ndarray | None:
+    """The (n, 2) array np.loadtxt parses from a file's text, or None where
+    it fails, warns (as on a file with no data) or finds another shape."""
+    # The text goes in as UTF-8 bytes, decoded in chunks as from a file:
+    # an io.StringIO of it would hold 4 bytes per character (32 MB for a
+    # 7.9 MB file).
+    f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             pairs = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)

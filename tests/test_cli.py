@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from gmtauber import generators
 from gmtauber.cli import dumps_document, main
-from gmtauber.tauber import default_report_window
-from gmtauber.weights import LambdaGrid
+from gmtauber.ifn import IFN
+from gmtauber.mcore import Verdict
+from gmtauber.tauber import TauberReport, default_report_window
+from gmtauber.weights import LambdaGrid, SvaPlusEstimate
 
 
 def run_cli(*argv) -> int:
@@ -273,6 +276,88 @@ class TestIfnAnalyze:
     def test_kind_mismatch_is_config_error(self):
         assert run_cli("ifn-analyze", "--generator", "ex2", "--n-max", "50") == 2
         assert run_cli("analyze", "--generator", "ex3-ifn", "--n-max", "50") == 2
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def windows(node):
+    """Every value under a "window" key in a report subtree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "window":
+                yield value
+            yield from windows(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from windows(value)
+
+
+class TestReportKeys:
+    """A report's keys are the field names of the result types it holds,
+    except where the serializer documents another spelling."""
+
+    def test_analyze_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--weights", "alternating:2,1",
+            "--n-max", "500", "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        analysis = doc["analysis"]
+        assert set(analysis["tauber"]) == field_names(TauberReport)
+        assert set(analysis["tauber"]["gbar_verdict"]) == field_names(Verdict)
+        assert set(analysis["gbar"]) == field_names(Verdict)
+        assert set(analysis["limit_estimate"]) == {"log", "value"}
+        assert analysis["gbar"]["limit"] == analysis["limit_estimate"]
+        assert set(doc["weights"]["sva"]) == field_names(SvaPlusEstimate)
+        found = list(windows({k: v for k, v in doc.items() if k != "config"}))
+        assert len(found) == 4
+        assert all(set(win) == {"start", "end"} for win in found)
+
+    def test_lambdas_are_keyed_by_repr(self, tmp_path):
+        # lambda = 1.001 leaves every block (n, floor(1.001 n)] with n <= 90
+        # empty, so con1 and forward slow oscillation skip it. The keys are
+        # sorted as the strings they are written as: "10.0" before "2.0".
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "exp-decay:c=2", "--n-max", "1000",
+            "--lambda-grid", "1.001,2,10", "--window", "20:90", "--no-timestamp",
+            "--out", str(out),
+        ) == 0
+        doc = load(out)
+        tauber = doc["analysis"]["tauber"]
+        assert tauber["skipped_lambdas"] == {
+            "con1": ["1.001"], "con2": [], "slow_osc_backward": [], "slow_osc_forward": ["1.001"],
+        }
+        assert list(tauber["curves"]["con1"]) == ["10.0", "2.0"]
+        assert list(tauber["curves"]["slow_osc_forward"]) == ["10.0", "2.0"]
+        assert list(doc["weights"]["sva"]["per_lambda"]) == ["1.001", "10.0", "2.0"]
+
+    def test_ifn_analyze_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
+            "--n-max", "600", "--mode", "otimes", "--no-timestamp", "--out", str(out),
+        ) == 0
+        doc = load(out)
+        analysis = doc["analysis"]
+        tauber = analysis["tauber"]
+        assert set(tauber) == {"mode", "component_labels", "components", "recovery_verdict"}
+        assert set(tauber["components"]) == set(tauber["component_labels"])
+        for comp in tauber["components"].values():
+            assert set(comp) == field_names(TauberReport)
+            assert set(comp["gbar_verdict"]) == field_names(Verdict)
+        assert set(analysis["mean_verdict"]) == field_names(Verdict)
+        assert set(analysis["mean_verdict"]["limit"]) == field_names(IFN)
+        assert set(analysis["xi_estimate"]) == field_names(IFN)
+        for pair in doc["sequence"]["tail"] + analysis["means_tail"]:
+            assert set(pair) == field_names(IFN)
+        assert set(doc["weights"]["sva"]) == field_names(SvaPlusEstimate)
+        found = list(windows({k: v for k, v in doc.items() if k != "config"}))
+        assert len(found) == 6
+        assert all(set(win) == {"start", "end"} for win in found)
 
 
 class TestConfigErrors:
