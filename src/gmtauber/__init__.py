@@ -19,8 +19,7 @@ _EXPORTS = {
         "partial_sum", "sva_plus_estimate",
     ),
     "gmean": (
-        "GeoMeanState", "weighted_geo_means", "gbar_limit_estimate",
-        "decomposition_identity_check",
+        "weighted_geo_means", "gbar_limit_estimate", "decomposition_identity_check",
     ),
     "tauber": (
         "TauberReport", "ReportThresholds", "slow_oscillation_estimate",

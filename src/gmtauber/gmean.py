@@ -12,8 +12,7 @@ builds S, in place, as the one full-length longdouble array; P stays the
 float64 WeightSequence.P and is widened to longdouble only where it meets
 S: in _log_means, the buffered division that gives the float64
 log-means, and in _block_means, for tauber's condition curves (beside
-it, _block_deviations serves the slow-oscillation ones). GeoMeanState
-follows the same rule one index at a time.
+it, _block_deviations serves the slow-oscillation ones).
 """
 
 import math
@@ -34,45 +33,12 @@ from .mcore import (
 from .weights import WeightSequence, lambda_index
 
 __all__ = [
-    "GeoMeanState",
     "weighted_geo_means",
     "transform_log_values",
     "gbar_limit_estimate",
     "gbar_verdict",
     "decomposition_identity_check",
 ]
-
-
-class GeoMeanState:
-    """Incremental accumulator for the running weighted geometric mean.
-
-    Each mean equals transform_log_values' bit for bit: L = sum p_k log u_k
-    and P = P_n are longdouble running sums, and L is divided by P rounded
-    to float64 (as WeightSequence.P is). `n` is the index of the last
-    element consumed (-1 before the first push).
-    """
-
-    def __init__(self):
-        self.L = np.longdouble(-0.0)  # -0.0 + t is t, for t = -0.0 too
-        self.P = np.longdouble(0.0)
-        self.n = -1
-
-    def push(self, u: LogReal, p: float) -> LogReal:
-        """Consume the next (u_n, p_n) pair and return the current mean."""
-        if not (p >= 0 and math.isfinite(p)):
-            raise ValueError(f"weight must be finite and nonnegative, got {p}")
-        if self.n < 0 and not p > 0:
-            raise ValueError("the first weight p_0 must be strictly positive")
-        self.L += np.longdouble(p) * u.log_value
-        self.P += p
-        self.n += 1
-        return self.mean
-
-    @property
-    def mean(self) -> LogReal:
-        if self.n < 0:
-            raise ValueError("no elements consumed yet")
-        return LogReal(float(self.L / np.longdouble(float(self.P))))
 
 
 def _prefix_sums(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:
@@ -110,23 +76,26 @@ def _range_reduce(
     replaces it. At most two levels are alive, so time is
     O(len(values) * log(max length) + len(lo)) and extra memory
     O(len(values) + len(lo)). op must be idempotent (max or min), which
-    makes the answers exact.
+    makes the answers exact. The queries' levels must never decrease, as
+    along one lambda's blocks, so that each level's queries are one
+    contiguous run; ValueError if they do.
     """
     _, exp = np.frexp(hi - lo + 1)
     level = exp - 1  # floor(log2(length)), exact for lengths below 2^53
-    order = np.argsort(level, kind="stable")
-    ranked = level[order]
-    top = int(ranked[-1])
-    bounds = np.searchsorted(ranked, np.arange(top + 2))
+    if np.any(level[1:] < level[:-1]):
+        raise ValueError(
+            "range queries need nondecreasing floor(log2(length)); "
+            "a length dropped to a lower power of two"
+        )
+    bounds = np.searchsorted(level, np.arange(int(level[-1]) + 2))
     out = np.empty(lo.size, dtype=values.dtype)
     table = values
-    for k in range(top + 1):
+    for k in range(bounds.size - 1):
         if k:
             half = 1 << (k - 1)
             table = op(table[:-half], table[half:])
-        q = order[bounds[k] : bounds[k + 1]]
-        if q.size:
-            out[q] = op(table[lo[q]], table[hi[q] - (1 << k) + 1])
+        q = slice(bounds[k], bounds[k + 1])
+        out[q] = op(table[lo[q]], table[hi[q] - (1 << k) + 1])
     return out
 
 
@@ -153,8 +122,8 @@ def _block_deviations(
     if not keep.any():
         return x[:0]
     xn, lo, hi = x[ns[keep]], lo[keep] + 1, hi[keep]
-    base = int(lo.min())
-    span = x[base : int(hi.max()) + 1]
+    base = int(lo[0])  # floor(fl(lambda * n)) never decreases in n
+    span = x[base : int(hi[-1]) + 1]
     lo -= base
     hi -= base
     return np.maximum(

@@ -73,7 +73,11 @@ class WeightSequence:
         if not p_arr[0] > 0:
             raise ValueError("the first weight p_0 must be strictly positive")
         self.p = p_arr
-        self.P = _partial_sums(p_arr)
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            self.P = _partial_sums(p_arr)
+        if not math.isfinite(self.P[-1]):  # P never decreases: the last is the largest
+            first = np.searchsorted(self.P, np.inf)
+            raise ValueError(f"the weights' partial sums overflow from index {first}")
 
     def __len__(self) -> int:
         return len(self.p)

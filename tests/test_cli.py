@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -368,6 +369,25 @@ class TestConfigErrors:
         assert run_cli(
             "analyze", "--generator", "ex2", "--n-max", "100", "--weights", "what"
         ) == 2
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_overflowing_weights(self, capsys, tmp_path, custom):
+        spec = "alternating:1e308,1e308"
+        if custom:
+            f = tmp_path / "w.txt"
+            f.write_text("1e308\n" * 101)
+            spec = f"custom:{f}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert run_cli(
+                "analyze", "--generator", "ex2", "--n-max", "100", "--weights", spec
+            ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: cannot build weights {spec!r}: "
+            "the weights' partial sums overflow from index 1\n"
+        )
 
     def test_window_must_fit(self):
         assert run_cli(

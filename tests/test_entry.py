@@ -51,7 +51,7 @@ def test_lazy_names_are_listed_and_are_the_submodules_objects():
         missing = set(gmtauber.__all__) - set(dir(gmtauber))  # before any access
         assert not missing, missing
         names = [n for n in gmtauber.__all__ if n != "__version__"]
-        assert len(names) == len(set(names)) == 52, names
+        assert len(names) == len(set(names)) == 51, names
         for name in names:
             module = importlib.import_module("gmtauber." + gmtauber._SOURCE[name])
             assert getattr(gmtauber, name) is getattr(module, name), name

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, mdist
 from gmtauber.weights import WeightSequence
 from gmtauber.gmean import (
-    GeoMeanState,
     decomposition_identity_check,
     gbar_limit_estimate,
     transform_log_values,
@@ -84,64 +83,6 @@ class TestWeightedGeoMeans:
             weighted_geo_means([], WeightSequence([1.0]))
         with pytest.raises(ValueError):
             weighted_geo_means([L(1.0), L(2.0)], WeightSequence([1.0]))
-
-
-class TestGeoMeanState:
-    def test_requires_positive_first_weight(self):
-        state = GeoMeanState()
-        with pytest.raises(ValueError):
-            state.push(L(2.0), 0.0)
-
-    def test_rejects_negative_weight(self):
-        state = GeoMeanState()
-        state.push(L(2.0), 1.0)
-        with pytest.raises(ValueError):
-            state.push(L(2.0), -1.0)
-
-    def test_mean_before_push(self):
-        with pytest.raises(ValueError):
-            GeoMeanState().mean
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-50.0, max_value=50.0),
-                st.floats(min_value=0.0, max_value=5.0),
-            ),
-            min_size=1,
-            max_size=300,
-        ),
-        st.floats(min_value=0.1, max_value=5.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_incremental_matches_fresh_and_batch(self, pairs, p0):
-        logs = [lv for lv, _ in pairs]
-        p = [p0] + [pw for _, pw in pairs[1:]]
-        state = GeoMeanState()
-        incremental = [state.push(LogReal.from_log(lv), pw) for lv, pw in zip(logs, p)]
-
-        fresh_L = math.fsum(pw * lv for lv, pw in zip(logs, p))
-        assert state.L == pytest.approx(fresh_L, rel=1e-12, abs=1e-12)
-        assert state.n == len(logs) - 1
-
-        batch = weighted_geo_means([LogReal.from_log(lv) for lv in logs], WeightSequence(p))
-        for inc, bat in zip(incremental, batch):
-            assert inc.log_value == pytest.approx(bat.log_value, rel=1e-12, abs=1e-12)
-
-    @given(
-        st.lists(st.floats(min_value=-5000.0, max_value=5000.0), min_size=1, max_size=400),
-        st.floats(min_value=0.01, max_value=5.0),
-        st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_incremental_equals_batch_bit_for_bit(self, logs, p0, data):
-        # Zero weights after p_0 add 0 to P and a signed zero to L.
-        rest = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
-        p = [p0] + data.draw(st.lists(rest, min_size=len(logs) - 1, max_size=len(logs) - 1))
-        state = GeoMeanState()
-        incremental = [state.push(LogReal(lv), pw).log_value.hex() for lv, pw in zip(logs, p)]
-        batch = transform_log_values(np.array(logs), WeightSequence(p))
-        assert incremental == [v.hex() for v in batch.tolist()]
 
 
 class TestGbarLimitEstimate:

@@ -20,6 +20,8 @@ from gmtauber.tauber import (
     usable_end,
 )
 from gmtauber.generators import generate, generate_array
+from gmtauber.gmean import _range_reduce
+from gmtauber.weights import _lambda_blocks
 
 from support import slow_oscillation_curve_oracle
 
@@ -150,6 +152,53 @@ class TestSlowOscillationOracle:
             return
         got = slow_oscillation_curve(u, grid, window, backward=backward)
         assert list(got.items()) == list(expect.items())
+
+
+@st.composite
+def block_walk_cases(draw):
+    """A lambda grid drawn as in slow_osc_cases and a window of up to 2000
+    indices below 2^34, often across a binade boundary of some lambda * n,
+    with the length its largest block needs."""
+    below = draw(st.lists(_lambdas_below, max_size=4, unique=True))
+    above = draw(st.lists(_lambdas_above, min_size=0 if below else 1, max_size=4, unique=True))
+    grid = LambdaGrid.of(below + above)
+    width = draw(st.integers(0, 2000))
+    lam = draw(st.sampled_from(grid.values))
+    binade = st.integers(1, 33).map(lambda j: int(min(2.0**j / lam, 2.0**34)) - width // 2)
+    start = draw(st.one_of(st.integers(0, 4000), st.integers(0, 2**34), binade))
+    start = min(max(start, 0), 2**34)
+    end = start + width
+    return grid, TailWindow(start, end), max(end, math.floor(grid.max_lambda * end)) + 1
+
+
+class TestBlockLevels:
+    """_range_reduce answers each sparse-table level's queries as one
+    contiguous run, which holds because along one lambda's blocks lo, hi
+    and the level floor(log2(hi - lo)) never decrease."""
+
+    @given(block_walk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_never_step_back(self, case):
+        grid, window, length = case
+        for lam, ns, lo, hi in _lambda_blocks(grid.values, window, length):
+            keep = hi > lo
+            lo, hi = lo[keep].tolist(), hi[keep].tolist()
+            levels = [(b - a).bit_length() - 1 for a, b in zip(lo, hi)]
+            for seq in (lo, hi, levels):
+                assert seq == sorted(seq), lam
+
+    def test_decreasing_levels_raise(self):
+        values = np.arange(10.0)
+        lo, hi = np.array([0, 4]), np.array([3, 6])  # lengths 4, then 3
+        with pytest.raises(ValueError, match="nondecreasing"):
+            _range_reduce(values, lo, hi, np.maximum)
+
+    def test_block_lengths_can_shrink_below_one(self):
+        # For lambda < 1 the lengths n - floor(lambda * n) can drop by one,
+        # here within one level; a drop across a power of two would raise.
+        lam = 0.9999999906867743
+        lengths = [n - math.floor(lam * n) for n in range(536870916, 536870919)]
+        assert lengths == [6, 6, 5]
 
 
 class TestSlowOscillation:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,15 @@ class TestWeightSequence:
             WeightSequence([1.0, -0.5])
         with pytest.raises(ValueError):
             WeightSequence([1.0, math.nan])
+
+    @pytest.mark.parametrize("p, first", [([1e308, 1e308], 1), ([1.0, 1.7e308, 1e308], 2)])
+    def test_overflowing_partial_sums_raise(self, p, first):
+        # P never decreases, so an inf anywhere shows at P[-1]; the cast
+        # that overflows warns nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"overflow from index {first}$"):
+                WeightSequence(p)
 
     def test_zero_weights_allowed_after_first(self):
         w = WeightSequence([1.0, 0.0, 0.0, 2.0])
