@@ -48,7 +48,6 @@ from .generators import GeneratorError
 SCHEMA_VERSION = 1
 DEFAULT_N_MAX_REAL = 10_000
 DEFAULT_N_MAX_IFN = 1_000
-ENV_FORMAT = "GMT_DEFAULT_FORMAT"
 CSV_CHUNK_ROWS = 1 << 13
 
 
@@ -110,58 +109,13 @@ def _jsonable(value):
 
 
 # ---------------------------------------------------------------------------
-# Config
+# Config: the parsed argparse namespace. The flag parsers below are its
+# `type=` functions; they raise ConfigError, which argparse passes through
+# (a ValueError it would rewrite into its own "invalid value" message).
 
 
-@dataclass
-class RunConfig:
-    command: str
-    generator: str | None
-    input_path: str | None
-    n_max: int | None
-    weights_spec: str
-    lambda_values: tuple[float, ...] | None
-    window_spec: tuple[int, int] | None
-    tol: float
-    theta: float
-    mode: str | None
-    fmt: str
-    out: str | None
-    timestamp: bool
-
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "generator": self.generator,
-            "input": self.input_path,
-            "n_max": self.n_max,
-            "weights": self.weights_spec,
-            "lambda_grid": list(self.lambda_values) if self.lambda_values else "default",
-            "window": (
-                f"{self.window_spec[0]}:{self.window_spec[1]}"
-                if self.window_spec
-                else "last-half"
-            ),
-            "tol": self.tol,
-            "theta": self.theta,
-            "mode": self.mode,
-            "format": self.fmt,
-            "out": self.out,
-        }
-
-
-def _resolve_format(value: str | None) -> str:
-    if value is None:
-        value = os.environ.get(ENV_FORMAT, "json")
-    value = value.lower()
-    if value not in ("csv", "json"):
-        raise ConfigError(f"output format must be 'csv' or 'json', got {value!r}")
-    return value
-
-
-def _parse_window_spec(spec: str | None) -> tuple[int, int] | None:
-    if spec is None:
-        return None
+def _parse_window_spec(spec: str) -> tuple[int, int]:
+    """--window 'start:end' as (start, end)."""
     parts = spec.split(":")
     if len(parts) != 2:
         raise ConfigError(f"window must look like start:end, got {spec!r}")
@@ -174,23 +128,34 @@ def _parse_window_spec(spec: str | None) -> tuple[int, int] | None:
     return start, end
 
 
-def _parse_lambda_spec(spec: str | None) -> tuple[float, ...] | None:
-    if spec is None:
-        return None
+def _parse_lambda_spec(spec: str) -> LambdaGrid:
+    """--lambda-grid 'l1,l2,...' as a LambdaGrid."""
     try:
-        values = tuple(float(v) for v in spec.split(","))
+        values = [float(v) for v in spec.split(",")]
     except ValueError:
         raise ConfigError(f"lambda grid must be comma-separated reals, got {spec!r}")
-    return values
-
-
-def _build_grid(values: tuple[float, ...] | None) -> LambdaGrid:
-    if values is None:
-        return LambdaGrid.default()
     try:
         return LambdaGrid.of(values)
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid: {exc}")
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The report's `config` block: the flags of an analysis run."""
+    return {
+        "command": args.command,
+        "generator": args.generator,
+        "input": args.infile,
+        "n_max": args.n_max,
+        "weights": args.weights,
+        "lambda_grid": list(args.lambda_grid.values) if args.lambda_grid else "default",
+        "window": "%d:%d" % args.window if args.window else "last-half",
+        "tol": args.tol,
+        "theta": args.theta,
+        "mode": getattr(args, "mode", None),
+        "format": args.format,
+        "out": args.out,
+    }
 
 
 def build_weights(spec: str, length: int) -> WeightSequence:
@@ -232,24 +197,22 @@ def _n_max_or_default(n_max: int | None, kind: str) -> int:
 
 
 def _load_sequence(
-    config: RunConfig, expect_kind: str
+    args: argparse.Namespace, expect_kind: str
 ) -> tuple[np.ndarray | IFNRows, str]:
     """A real sequence as its float64 log array, an IFN one as IFNRows."""
-    if config.generator is not None:
-        kind = generators.generator_kind(config.generator)
+    if args.generator is not None:
+        kind = generators.generator_kind(args.generator)
         if kind != expect_kind:
             raise ConfigError(
-                f"generator {config.generator!r} produces a {kind} sequence; "
+                f"generator {args.generator!r} produces a {kind} sequence; "
                 f"this subcommand expects {expect_kind}"
             )
-        n_max = _n_max_or_default(config.n_max, kind)
-        if kind == "real":
-            return generators.generate_array(config.generator, n_max), config.generator
-        rows = generators.generate_array(config.generator, n_max)
-        return IFNRows(rows), config.generator
-    if config.n_max is not None:
+        n_max = _n_max_or_default(args.n_max, kind)
+        values = generators.generate_array(args.generator, n_max)
+        return (values if kind == "real" else IFNRows(values)), args.generator
+    if args.n_max is not None:
         raise ConfigError("--n-max applies to generated sequences, not --in files")
-    path = config.input_path
+    path = args.infile
     try:
         if expect_kind == "real":
             return generators.read_real_logs(path), str(path)
@@ -260,13 +223,13 @@ def _load_sequence(
         raise ConfigError(f"malformed sequence file {path}: {exc}")
 
 
-def _base_document(config: RunConfig, kind: str, length: int, source: str) -> dict:
+def _base_document(args: argparse.Namespace, kind: str, length: int, source: str) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
+        "config": _echo(args),
         "sequence": {"kind": kind, "length": length, "source": source},
     }
-    if config.timestamp:
+    if not args.no_timestamp:
         doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         )
@@ -274,7 +237,7 @@ def _base_document(config: RunConfig, kind: str, length: int, source: str) -> di
 
 
 def _windows_for(
-    config: RunConfig, length: int, grid: LambdaGrid
+    args: argparse.Namespace, length: int, grid: LambdaGrid
 ) -> tuple[TailWindow, TailWindow]:
     """The user-facing verdict window, and the lambda-safe tauber window.
 
@@ -283,7 +246,7 @@ def _windows_for(
     bound = (length-1)/max(lambda) keeps every lambda_n in the sequence.
     Either must contain an index n >= 1 for the Landau ratio.
     """
-    if config.window_spec is None:
+    if args.window is None:
         try:
             return TailWindow.last_half(length), default_report_window(length, grid)
         except ValueError as exc:
@@ -291,7 +254,7 @@ def _windows_for(
                 f"{exc}: raise --n-max (or use a longer --in file) or lower "
                 "the largest --lambda-grid value"
             )
-    start, end = config.window_spec
+    start, end = args.window
     if end >= length:
         raise ConfigError(
             f"window {start}:{end} does not fit the sequence (length {length})"
@@ -319,22 +282,26 @@ class RunResult:
     header: tuple[str, ...]
 
 
-def run_real(config: RunConfig) -> RunResult:
-    x, source = _load_sequence(config, "real")
-    grid = _build_grid(config.lambda_values)
-    w = build_weights(config.weights_spec, x.size)
-    verdict_window, tauber_window = _windows_for(config, x.size, grid)
+def _inputs(args: argparse.Namespace, kind: str) -> tuple:
+    """(seq, source, grid, w, verdict_window, tauber_window) of a run."""
+    seq, source = _load_sequence(args, kind)
+    grid = args.lambda_grid or LambdaGrid.default()
+    w = build_weights(args.weights, len(seq))
+    return (seq, source, grid, w, *_windows_for(args, len(seq), grid))
 
-    tol = MTolerance(config.tol)
+
+def run_real(args: argparse.Namespace) -> RunResult:
+    x, source, grid, w, verdict_window, tauber_window = _inputs(args, "real")
+    tol = MTolerance(args.tol)
     means = transform_log_values(x, w)
     gbar = gbar_verdict(means, tol, verdict_window)
-    thresholds = ReportThresholds(theta=config.theta, gbar_tol=tol)
+    thresholds = ReportThresholds(theta=args.theta, gbar_tol=tol)
     tauber = recoverability_report(x, w, grid, tauber_window, thresholds)
     sva = sva_plus_estimate(w, grid, tauber_window)
 
-    doc = _base_document(config, "real", x.size, source)
+    doc = _base_document(args, "real", x.size, source)
     doc["sequence"]["tail_log"] = x[-10:].tolist()
-    doc["weights"] = {"spec": config.weights_spec, "sva": _jsonable(sva)}
+    doc["weights"] = {"spec": args.weights, "sva": _jsonable(sva)}
     doc["analysis"] = {
         "limit_estimate": _jsonable(gbar.limit),
         "gbar": _jsonable(gbar),
@@ -344,27 +311,24 @@ def run_real(config: RunConfig) -> RunResult:
     return RunResult(doc=doc, columns=(x, means), header=("n", "log_u", "log_w"))
 
 
-def run_ifn(config: RunConfig) -> RunResult:
-    seq, source = _load_sequence(config, "ifn")
-    grid = _build_grid(config.lambda_values)
-    w = build_weights(config.weights_spec, len(seq))
-    verdict_window, tauber_window = _windows_for(config, len(seq), grid)
-    mode = config.mode
+def run_ifn(args: argparse.Namespace) -> RunResult:
+    seq, source, grid, w, verdict_window, tauber_window = _inputs(args, "ifn")
+    mode = args.mode
     if mode == "oplus":
         means, check = ifwa_means(seq, w), oplus_convergence_check
     else:
         means, check = ifwg_means(seq, w), otimes_convergence_check
     xi_hat = means[verdict_window.end_index]
-    verdict = mean_verdict(means, check, xi_hat, config.tol, verdict_window)
-    plain = check(seq, xi_hat, config.tol, verdict_window)
+    verdict = mean_verdict(means, check, xi_hat, args.tol, verdict_window)
+    plain = check(seq, xi_hat, args.tol, verdict_window)
 
-    thresholds = ReportThresholds(theta=config.theta)
+    thresholds = ReportThresholds(theta=args.theta)
     tauber = ifn_tauber_report(seq, w, grid, tauber_window, mode, thresholds)
     sva = sva_plus_estimate(w, grid, tauber_window)
 
-    doc = _base_document(config, "ifn", len(seq), source)
+    doc = _base_document(args, "ifn", len(seq), source)
     doc["sequence"]["tail"] = _jsonable(list(seq[-10:]))
-    doc["weights"] = {"spec": config.weights_spec, "sva": _jsonable(sva)}
+    doc["weights"] = {"spec": args.weights, "sva": _jsonable(sva)}
     doc["analysis"] = {
         "mode": mode,
         "xi_estimate": _jsonable(xi_hat),
@@ -412,19 +376,17 @@ def _writing(path: Path | str):
         raise ConfigError(f"cannot write {path} for --out: {exc}") from None
 
 
-def _emit(result: RunResult, config: RunConfig) -> None:
+def _emit(result: RunResult, args: argparse.Namespace) -> None:
     text = dumps_document(result.doc)
-    if config.fmt == "json":
-        if config.out:
-            with _writing(config.out):
-                Path(config.out).write_text(text)
+    if args.format == "json":
+        if args.out:
+            with _writing(args.out):
+                Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
         return
-    # csv: per-index rows plus a sidecar JSON with the diagnostics
-    if not config.out:
-        raise ConfigError("--format csv needs --out (a sidecar JSON is written too)")
-    out, sidecar = Path(config.out), Path(config.out + ".json")
+    # csv (main has checked --out): per-index rows plus a sidecar JSON
+    out, sidecar = Path(args.out), Path(args.out + ".json")
     with _writing(out), out.open("wb") as f:
         f.write((",".join(result.header) + "\n").encode("ascii"))
         _write_csv_rows(f, result.columns)
@@ -549,25 +511,6 @@ def _check_thresholds(command: str, tol: float, theta: float) -> None:
         raise ConfigError(f"--theta must be a finite real >= 1, got {theta!r}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    _check_thresholds(args.command, args.tol, args.theta)
-    return RunConfig(
-        command=args.command,
-        generator=args.generator,
-        input_path=getattr(args, "infile", None),
-        n_max=args.n_max,
-        weights_spec=args.weights,
-        lambda_values=_parse_lambda_spec(args.lambda_grid),
-        window_spec=_parse_window_spec(args.window),
-        tol=args.tol,
-        theta=args.theta,
-        mode=getattr(args, "mode", None),
-        fmt=_resolve_format(args.format),
-        out=args.out,
-        timestamp=not args.no_timestamp,
-    )
-
-
 def _summary_lines(doc: dict) -> list[str]:
     lines = [
         f"sequence: kind={doc['sequence']['kind']} length={doc['sequence']['length']} "
@@ -626,8 +569,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         lines = _summary_lines(doc)
         if args.out:
-            fmt = _resolve_format(args.format)
-            text = dumps_document(doc) if fmt == "json" else _curves_csv(doc)
+            text = dumps_document(doc) if args.format == "json" else _curves_csv(doc)
     except KeyError as exc:
         raise ConfigError(f"report {args.infile} lacks the key {exc.args[0]!r}") from None
     except (TypeError, AttributeError, ValueError) as exc:
@@ -661,11 +603,13 @@ def make_parser() -> argparse.ArgumentParser:
         src.add_argument("--in", dest="infile", default=None, help="sequence file")
         p.add_argument("--n-max", type=int, default=None)
         p.add_argument("--weights", default="ones")
-        p.add_argument("--lambda-grid", default=None, help="comma-separated lambdas")
-        p.add_argument("--window", default=None, help="start:end (inclusive)")
+        p.add_argument(
+            "--lambda-grid", type=_parse_lambda_spec, help="comma-separated lambdas"
+        )
+        p.add_argument("--window", type=_parse_window_spec, help="start:end (inclusive)")
         p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--theta", type=float, default=1.05)
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+        p.add_argument("--format", default="json", choices=("csv", "json"))
         p.add_argument("--out", default=None)
         p.add_argument("--no-timestamp", action="store_true")
 
@@ -678,24 +622,25 @@ def make_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="summarize or convert a JSON report")
     rep.add_argument("--in", dest="infile", required=True)
-    rep.add_argument("--format", default=None, choices=("csv", "json"))
+    rep.add_argument("--format", default="json", choices=("csv", "json"))
     rep.add_argument("--out", default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.out is not None:
             _check_out(args.out)
+        if getattr(args, "format", None) == "csv" and args.out is None:
+            raise ConfigError("--format csv needs --out")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "report":
             return _cmd_report(args)
-        config = _config_from_args(args)
-        result = run_real(config) if args.command == "analyze" else run_ifn(config)
-        _emit(result, config)
+        _check_thresholds(args.command, args.tol, args.theta)
+        result = run_real(args) if args.command == "analyze" else run_ifn(args)
+        _emit(result, args)
         return 0
     except (ConfigError, GeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,7 +136,10 @@ def _parse_spec(spec: str) -> tuple[str, dict]:
                 raise GeneratorError(f"generator parameter {item!r} is not numeric")
             if not math.isfinite(value):
                 raise GeneratorError(f"generator parameter {item!r} must be finite")
-            params[key.strip()] = value
+            key = key.strip()
+            if key in params:
+                raise GeneratorError(f"generator parameter {key!r} is given more than once")
+            params[key] = value
     return name, params
 
 

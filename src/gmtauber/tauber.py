@@ -20,8 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
-from .weights import LambdaGrid, WeightSequence, _lambda_blocks
-from .weights import default_report_window, usable_end  # noqa: F401 (re-exported)
+from .weights import LambdaGrid, WeightSequence, _lambda_blocks, default_report_window
 from .gmean import _block_deviations, _block_means, _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [

@@ -15,13 +15,12 @@ from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
 from gmtauber.generators import generate_array, ifn_sequence_text
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
 from gmtauber.tauber import (
-    default_report_window,
     landau_estimates,
     recoverability_report,
     slow_oscillation_curve,
     tauber_condition_curve,
 )
-from gmtauber.weights import LambdaGrid, WeightSequence
+from gmtauber.weights import LambdaGrid, WeightSequence, default_report_window
 
 
 def _random_walk(n: int) -> np.ndarray:

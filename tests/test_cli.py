@@ -12,8 +12,8 @@ from gmtauber import generators
 from gmtauber.cli import dumps_document, main
 from gmtauber.ifn import IFN
 from gmtauber.mcore import Verdict
-from gmtauber.tauber import TauberReport, default_report_window
-from gmtauber.weights import LambdaGrid, SvaPlusEstimate
+from gmtauber.tauber import TauberReport
+from gmtauber.weights import LambdaGrid, SvaPlusEstimate, default_report_window
 
 
 def run_cli(*argv) -> int:
@@ -123,18 +123,52 @@ class TestAnalyze:
             "analyze", "--generator", "ex2", "--n-max", "100", "--format", "csv"
         ) == 2
 
-    def test_env_var_sets_default_format(self, tmp_path, monkeypatch):
+    def test_format_ignores_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GMT_DEFAULT_FORMAT", "csv")
-        out = tmp_path / "r.csv"
+        out = tmp_path / "r.json"
         assert run_cli(
             "analyze", "--generator", "ex2", "--n-max", "50",
             "--no-timestamp", "--out", str(out),
         ) == 0
-        assert out.read_text().startswith("n,log_u,log_w")
-        monkeypatch.setenv("GMT_DEFAULT_FORMAT", "yaml")
-        assert run_cli(
-            "analyze", "--generator", "ex2", "--n-max", "50", "--out", str(out)
-        ) == 2
+        assert load(out)["config"]["format"] == "json"
+        assert not (tmp_path / "r.json.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            ((), {}),
+            (
+                ("--lambda-grid", "1.5,0.75", "--window", "10:60", "--format", "csv"),
+                {"lambda_grid": [1.5, 0.75], "window": "10:60", "format": "csv"},
+            ),
+        ],
+        ids=["defaults", "given"],
+    )
+    def test_config_echo(self, tmp_path, capsys, flags, config):
+        argv = ["analyze", "--generator", "ex2", *flags]
+        if "csv" in flags:
+            out = tmp_path / "r.csv"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            doc = load(tmp_path / "r.csv.json")
+            config = {**config, "out": str(out)}
+        else:
+            assert run_cli(*argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+        assert doc["config"] == {
+            "command": "analyze",
+            "generator": "ex2",
+            "input": None,
+            "n_max": None,
+            "weights": "ones",
+            "lambda_grid": "default",
+            "window": "last-half",
+            "tol": 1.01,
+            "theta": 1.05,
+            "mode": None,
+            "format": "json",
+            "out": None,
+            **config,
+        }
 
     def test_window_flag(self, tmp_path):
         out = tmp_path / "r.json"
@@ -411,6 +445,47 @@ class TestConfigErrors:
             "analyze", "--generator", "ex2", "--n-max", "100", "--lambda-grid", "1.0"
         ) == 2
 
+    @pytest.mark.parametrize("command", ["analyze --generator ex2", "ifn-analyze --generator ex3-ifn"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--window x", "window must look like start:end, got 'x'"),
+            ("--window 1:a", "window bounds must be integers, got '1:a'"),
+            ("--window 5:2", "window needs 0 <= start <= end, got '5:2'"),
+            ("--lambda-grid a,b", "lambda grid must be comma-separated reals, got 'a,b'"),
+            ("--lambda-grid 1", "bad lambda grid: lambda = 1 is not allowed in the grid"),
+            ("--lambda-grid 2,2", "bad lambda grid: lambda grid contains duplicate values"),
+            ("--lambda-grid -1", "bad lambda grid: lambda values must be positive reals, got -1.0"),
+            ("--lambda-grid inf", "bad lambda grid: lambda values must be positive reals, got inf"),
+            (
+                "--lambda-grid 1e308",
+                "sequence of length 101 is too short for lambda grid max 1e+308: raise "
+                "--n-max (or use a longer --in file) or lower the largest --lambda-grid value",
+            ),
+        ],
+    )
+    def test_malformed_flag_message(self, capsys, command, flag, message):
+        assert run_cli(*command.split(), "--n-max", "100", *flag.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unknown_format_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--generator", "ex2", "--format", "yaml")
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'yaml'" in capsys.readouterr().err
+
+    def test_flags_are_checked_before_the_generator(self, capsys):
+        assert run_cli("analyze", "--generator", "bogus", "--lambda-grid", "1") == 2
+        assert capsys.readouterr().err == (
+            "error: bad lambda grid: lambda = 1 is not allowed in the grid\n"
+        )
+
+    def test_repeated_generator_parameter(self, capsys):
+        assert run_cli("generate", "--generator", "constant:c=3,c=4") == 2
+        assert capsys.readouterr() == (
+            "", "error: generator parameter 'c' is given more than once\n"
+        )
+
     def test_n_max_rejected_with_input_file(self, tmp_path):
         f = tmp_path / "seq.txt"
         f.write_text("log:\n0.0\n0.1\n")
@@ -605,6 +680,15 @@ class TestReportCommand:
         out = tmp_path / "copy.json"
         assert run_cli("report", "--in", str(doc_path), "--format", "json", "--out", str(out)) == 0
         assert load(out) == load(doc_path)
+
+    def test_csv_needs_out(self, tmp_path, capsys):
+        doc_path = tmp_path / "r.json"
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "200",
+            "--no-timestamp", "--out", str(doc_path),
+        ) == 0
+        assert run_cli("report", "--in", str(doc_path), "--format", "csv") == 2
+        assert capsys.readouterr() == ("", "error: --format csv needs --out\n")
 
     def test_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -90,6 +90,11 @@ class TestGenerate:
         with pytest.raises(GeneratorError):
             generate("ex2", -1)
 
+    @pytest.mark.parametrize("spec", ["constant:c=3,c=4", "constant:c=3,c=3", "exp-decay:c=2, c =2"])
+    def test_repeated_param(self, spec):
+        with pytest.raises(GeneratorError, match="parameter 'c' is given more than once"):
+            generator_kind(spec)
+
 
 class TestSequenceFiles:
     def test_real_round_trip_log_domain(self, tmp_path):

@@ -23,12 +23,10 @@ from gmtauber.ifn import IFN, IFNRows, ifn_tauber_report, ifwa_means, ifwg_means
 from gmtauber.mcore import MTolerance, TailWindow
 from gmtauber.tauber import (
     ReportThresholds,
-    default_report_window,
     recoverability_report,
     tauber_condition_curve,
-    usable_end,
 )
-from gmtauber.weights import LambdaGrid, WeightSequence
+from gmtauber.weights import LambdaGrid, WeightSequence, default_report_window, usable_end
 
 from support import (
     condition_curve_oracle,

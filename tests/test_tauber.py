@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmtauber.mcore import LogReal, MTolerance, TailWindow
-from gmtauber.weights import LambdaGrid, WeightSequence, sva_plus_estimate
+from gmtauber.weights import (
+    LambdaGrid,
+    WeightSequence,
+    default_report_window,
+    sva_plus_estimate,
+    usable_end,
+)
 from gmtauber.tauber import (
     ReportThresholds,
-    default_report_window,
     landau_estimates,
     recoverability_report,
     slow_oscillation_curve,
@@ -17,7 +22,6 @@ from gmtauber.tauber import (
     tauber_con1_estimate,
     tauber_con2_estimate,
     tauber_condition_curve,
-    usable_end,
 )
 from gmtauber.generators import generate, generate_array
 from gmtauber.gmean import _range_reduce
