@@ -34,7 +34,6 @@ from .gmean import gbar_verdict, transform_log_values
 from .tauber import ReportThresholds, TauberReport, recoverability_report
 from .ifn import (
     IFNRows,
-    IFNTauberReport,
     ifn_tauber_report,
     ifwa_means,
     ifwg_means,
@@ -73,23 +72,14 @@ def _jsonable(value):
 
     A dataclass becomes a dict keyed by its field names, a float dict key
     its repr, a tuple or list a list, and a float passes through _num.
-    Four exceptions keep the document's established keys: a LogReal is
-    {"log", "value"}, a TailWindow {"start", "end"}, a TauberReport's
-    skipped lambdas are repr strings like the keys of its curves, and an
-    IFNTauberReport keys its two reports by its component labels.
+    Three exceptions keep the document's established keys: a LogReal is
+    {"log", "value"}, a TailWindow {"start", "end"}, and a TauberReport's
+    skipped lambdas are repr strings like the keys of its curves.
     """
     if isinstance(value, LogReal):
         return {"log": _num(value.log_value), "value": _num(value.value)}
     if isinstance(value, TailWindow):
         return {"start": value.start_index, "end": value.end_index}
-    if isinstance(value, IFNTauberReport):
-        reports = (value.first, value.second)
-        return {
-            "mode": value.mode,
-            "component_labels": list(value.component_labels),
-            "components": dict(zip(value.component_labels, map(_jsonable, reports))),
-            "recovery_verdict": value.recovery_verdict,
-        }
     if is_dataclass(value):
         doc = {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
         if isinstance(value, TauberReport):
@@ -160,7 +150,9 @@ def _echo(args: argparse.Namespace) -> dict:
 
 def build_weights(spec: str, length: int) -> WeightSequence:
     """Weight family by name: ones, harmonic, alternating:a,b, custom:<file>."""
-    name, _, tail = spec.partition(":")
+    name, colon, tail = spec.partition(":")
+    if name in ("ones", "harmonic") and colon:
+        raise ConfigError(f"{name} weights take no parameters, got {spec!r}")
     try:
         if name == "ones":
             return WeightSequence.ones(length)
@@ -638,6 +630,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_generate(args)
         if args.command == "report":
             return _cmd_report(args)
+        if args.format == "csv" and Path(args.out + ".json").is_dir():
+            raise ConfigError(f"cannot write {args.out}.json for --out: Is a directory")
         _check_thresholds(args.command, args.tol, args.theta)
         result = run_real(args) if args.command == "analyze" else run_ifn(args)
         _emit(result, args)

@@ -249,16 +249,16 @@ def _window_rows(seq: Sequence[IFN], window: TailWindow | None) -> np.ndarray:
     return rows[:, window.start_index : window.end_index + 1]
 
 
-def total_order_cmp(a: IFN, b: IFN, tie_tol: float = 1e-12) -> int:
+def total_order_cmp(a: IFN, b: IFN) -> int:
     """Score-then-accuracy comparison; returns -1, 0 or +1.
 
-    Score and accuracy ties are decided with an absolute tolerance so
-    that decimals like 0.6 - 0.4 vs 0.5 - 0.3 compare as equal scores.
+    Score and accuracy ties are decided within _SIMPLEX_TOL so that
+    decimals like 0.6 - 0.4 vs 0.5 - 0.3 compare as equal scores.
     """
     for d in (a.score - b.score, a.accuracy - b.accuracy):
-        if d < -tie_tol:
+        if d < -_SIMPLEX_TOL:
             return -1
-        if d > tie_tol:
+        if d > _SIMPLEX_TOL:
             return 1
     return 0
 
@@ -306,17 +306,17 @@ def multiply(a: IFN, b: IFN) -> IFN:
     return IFN(mu, nu)
 
 
-def _subtract_quotient(a: IFN, b: IFN, slack: float = _SIMPLEX_TOL) -> IFN | None:
+def _subtract_quotient(a: IFN, b: IFN) -> IFN | None:
     """Quotient branch of a - b, or None when the guards fail.
 
-    Boundary ties (within `slack`) go to the quotient branch; the result
-    is projected back onto the simplex if the slack let it overshoot.
+    Boundary ties (within _SIMPLEX_TOL) go to the quotient branch; the
+    result is projected back onto the simplex if it overshoots.
     """
     if not b.nu > 0:
         return None
-    if a.mu < b.mu - slack or a.nu > b.nu + slack:
+    if a.mu < b.mu - _SIMPLEX_TOL or a.nu > b.nu + _SIMPLEX_TOL:
         return None
-    if a.nu * b.hesitancy > a.hesitancy * b.nu + slack:
+    if a.nu * b.hesitancy > a.hesitancy * b.nu + _SIMPLEX_TOL:
         return None
     # b.nu > 0 forces b.mu <= 1 - b.nu < 1, so the division is safe.
     mu = min(max((a.mu - b.mu) / (1.0 - b.mu), 0.0), 1.0)
@@ -363,23 +363,23 @@ def power(a: IFN, c: float) -> IFN:
     return IFN(mu, nu)
 
 
-def _region_quotient(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> IFN | None:
+def _region_quotient(a: IFN, xi: IFN) -> IFN | None:
     """a - xi if a lies in the addition region of xi, else None: the
     subtraction must go through the quotient branch and the
-    reconstruction xi + (a - xi) must reproduce a within `tol`."""
+    reconstruction xi + (a - xi) must reproduce a within _SIMPLEX_TOL."""
     beta = _subtract_quotient(a, xi)
     if beta is None:
         return None
     recon = add(xi, beta)
-    if abs(recon.mu - a.mu) <= tol and abs(recon.nu - a.nu) <= tol:
+    if abs(recon.mu - a.mu) <= _SIMPLEX_TOL and abs(recon.nu - a.nu) <= _SIMPLEX_TOL:
         return beta
     return None
 
 
-def in_addition_region(a: IFN, xi: IFN, tol: float = _SIMPLEX_TOL) -> bool:
+def in_addition_region(a: IFN, xi: IFN) -> bool:
     """True iff a decomposes as xi + beta for some IFN beta (see
     _region_quotient for the test)."""
-    return _region_quotient(a, xi, tol) is not None
+    return _region_quotient(a, xi) is not None
 
 
 def addition_limit_check(
@@ -428,7 +428,7 @@ def zhangxu_limit_check(
     return True
 
 
-_DEFAULT_EPS_SAMPLES: tuple[IFN, ...] = (
+_EPS_SAMPLES: tuple[IFN, ...] = (
     IFN(1e-9, 1.0 - 1e-9),
     IFN(1e-6, 1.0 - 1e-6),
     IFN(1e-3, 1.0 - 1e-3),
@@ -442,15 +442,14 @@ def zhangxu_limit_check_sampled(
     seq: Sequence[IFN] | np.ndarray,
     xi: IFN,
     window: TailWindow | None = None,
-    eps_samples: Sequence[IFN] = _DEFAULT_EPS_SAMPLES,
 ) -> bool:
-    """Conjunction of the total-order check over an eps grid.
+    """Conjunction of the total-order check over the eps grid _EPS_SAMPLES.
 
     The grid stands in for the 'any eps' quantifier and includes
     near-(0, 1) elements, which are the hard cases.
     """
     rows = IFNRows(as_rows(seq))
-    return all(zhangxu_limit_check(rows, xi, eps, window) for eps in eps_samples)
+    return all(zhangxu_limit_check(rows, xi, eps, window) for eps in _EPS_SAMPLES)
 
 
 def _oplus_sandwich(block: np.ndarray, xmu: float, xnu: float, bar_eps: IFN) -> bool:
@@ -644,7 +643,8 @@ def gp_otimes_verdict(
 
 @dataclass(frozen=True)
 class IFNTauberReport:
-    """Componentwise recovery evidence for an IFN mean sequence.
+    """Componentwise recovery evidence for an IFN mean sequence: one
+    report per driving real component, keyed by its label in label order.
 
     The overall verdict is the conjunction: both driving real components
     must be recoverable for the fuzzy limit to be recoverable.
@@ -652,8 +652,7 @@ class IFNTauberReport:
 
     mode: str
     component_labels: tuple[str, str]
-    first: TauberReport
-    second: TauberReport
+    components: dict[str, TauberReport]
     recovery_verdict: bool
 
 
@@ -680,14 +679,14 @@ def ifn_tauber_report(
     # Each component's log is formed just before its report and freed
     # with it, so one component log and one S are alive at a time.
     logs = (lambda: np.log(1.0 - mu), lambda: np.log(nu))
-    first, second = logs[::-1] if swap else logs
     labels = ("mu", "one_minus_nu") if swap else ("one_minus_mu", "nu")
-    rep1 = recoverability_report(first(), w, grid, window, thresholds)
-    rep2 = recoverability_report(second(), w, grid, window, thresholds)
+    components = {
+        label: recoverability_report(log(), w, grid, window, thresholds)
+        for label, log in zip(labels, logs[::-1] if swap else logs)
+    }
     return IFNTauberReport(
         mode=mode,
         component_labels=labels,
-        first=rep1,
-        second=rep2,
-        recovery_verdict=bool(rep1.recovery_verdict and rep2.recovery_verdict),
+        components=components,
+        recovery_verdict=all(rep.recovery_verdict for rep in components.values()),
     )

@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+def _safe_exp(x: float) -> float:
+    """exp(x), saturated to inf where it overflows (x above about 709.78)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LogReal:
     """A strictly positive real number stored as its natural log."""
@@ -53,11 +61,8 @@ class LogReal:
 
     @property
     def value(self) -> float:
-        """The represented number; overflows to inf beyond exp(709)."""
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
+        """The represented number; inf where exp overflows."""
+        return _safe_exp(self.log_value)
 
     def __mul__(self, other: "LogReal") -> "LogReal":
         return LogReal(self.log_value + other.log_value)

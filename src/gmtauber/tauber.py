@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mcore import LogReal, MTolerance, TailWindow, Verdict, as_logs
+from .mcore import LogReal, MTolerance, TailWindow, Verdict, _safe_exp, as_logs
 from .weights import LambdaGrid, WeightSequence, _lambda_blocks, default_report_window
 from .gmean import _block_deviations, _block_means, _prefix_gbar_verdict, _prefix_sums
 
@@ -34,11 +34,6 @@ __all__ = [
     "landau_estimates",
     "recoverability_report",
 ]
-
-
-def _safe_exp(x: float) -> float:
-    # Multiplicative estimates can exceed exp(709); saturate honestly.
-    return math.exp(x) if x < 709.0 else math.inf
 
 
 _NO_USABLE_PAIR = (
@@ -170,24 +165,21 @@ def tauber_con2_estimate(
 def landau_estimates(
     u: Sequence[LogReal] | np.ndarray,
     window: TailWindow,
-    vanish_tol: MTolerance | None = None,
 ) -> tuple[float, bool]:
     """Diagnostics for the auxiliary sequence ((u_n/u_{n-1})^n).
 
     Returns (bound_estimate, vanish): the max of |(u_n/u_{n-1})^n|* over
     the window, and whether that auxiliary sequence stays within
-    `vanish_tol` of 1 across the window.
+    MTolerance.default() of 1 across the window.
     """
     if window.start_index < 1:
         raise ValueError("window must start at index >= 1")
     x = as_logs(u)
     window.check_fits(x.size)
-    if vanish_tol is None:
-        vanish_tol = MTolerance.default()
     ns = np.arange(window.start_index, window.end_index + 1, dtype=np.int64)
     aux = ns * (x[ns] - x[ns - 1])
     worst = float(np.max(np.abs(aux)))
-    return _safe_exp(worst), worst < vanish_tol.log
+    return _safe_exp(worst), worst < MTolerance.default().log
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,6 @@ class ReportThresholds:
 
     theta: float = 1.05
     gbar_tol: MTolerance = field(default_factory=MTolerance.default)
-    vanish_tol: MTolerance = field(default_factory=MTolerance.default)
 
     def __post_init__(self):
         if not self.theta >= 1:
@@ -269,9 +260,7 @@ def recoverability_report(
     est = {name: min(curve.values(), default=math.inf) for name, curve in curves.items()}
 
     landau_window = TailWindow(max(1, window.start_index), window.end_index)
-    landau_bound, landau_vanish = landau_estimates(
-        x, landau_window, thresholds.vanish_tol
-    )
+    landau_bound, landau_vanish = landau_estimates(x, landau_window)
 
     recovery = bool(gbar.passed and min(est["con1"], est["con2"]) <= thresholds.theta)
 

@@ -31,6 +31,9 @@ __all__ = [
 # Length of the longdouble buffer that P is accumulated through.
 P_CHUNK = 1 << 16
 
+# The SVA+ verdict needs every per-lambda estimate above this floor.
+SVA_FLOOR = 1e-3
+
 
 def _partial_sums(p: np.ndarray) -> np.ndarray:
     """np.cumsum(p, dtype=np.longdouble) rounded to float64, through one
@@ -227,7 +230,6 @@ def sva_plus_estimate(
     w: WeightSequence,
     grid: LambdaGrid | None = None,
     window: TailWindow | None = None,
-    floor: float = 1e-3,
 ) -> SvaPlusEstimate:
     """Estimate how far the partial-sum ratios stay from 1 per lambda;
     `window` defaults to default_report_window."""
@@ -241,5 +243,5 @@ def sva_plus_estimate(
         lam: float(np.min(np.abs(w.P[lo + hi - ns] / w.P[ns] - 1.0)))
         for lam, ns, lo, hi in _lambda_blocks(grid.values, window, len(w))
     }
-    verdict = all(est > floor for est in per_lambda.values())
-    return SvaPlusEstimate(per_lambda=per_lambda, floor=floor, verdict=verdict, window=window)
+    verdict = all(est > SVA_FLOOR for est in per_lambda.values())
+    return SvaPlusEstimate(per_lambda, SVA_FLOOR, verdict, window)

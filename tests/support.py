@@ -29,8 +29,8 @@ from gmtauber.ifn import (
 )
 from gmtauber.gmean import gbar_verdict, transform_log_values
 from gmtauber.generators import LOG_HEADER, GeneratorError, _parse_spec
-from gmtauber.mcore import LogReal, MTolerance, TailWindow, Verdict, log_array
-from gmtauber.tauber import _safe_exp, recoverability_report
+from gmtauber.mcore import LogReal, MTolerance, TailWindow, Verdict, _safe_exp, log_array
+from gmtauber.tauber import recoverability_report
 from gmtauber.weights import LambdaGrid, WeightSequence, lambda_index
 
 
@@ -515,12 +515,13 @@ def ifn_tauber_report_oracle(
         second = np.log([1.0 - a.nu for a in seq])
     else:
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
-    rep1 = recoverability_report(first, w, grid, window, thresholds)
-    rep2 = recoverability_report(second, w, grid, window, thresholds)
+    components = {
+        label: recoverability_report(logs, w, grid, window, thresholds)
+        for label, logs in zip(labels, (first, second))
+    }
     return IFNTauberReport(
         mode=mode,
         component_labels=labels,
-        first=rep1,
-        second=rep2,
-        recovery_verdict=bool(rep1.recovery_verdict and rep2.recovery_verdict),
+        components=components,
+        recovery_verdict=all(rep.recovery_verdict for rep in components.values()),
     )

@@ -10,7 +10,7 @@ import pytest
 
 from gmtauber import generators
 from gmtauber.cli import dumps_document, main
-from gmtauber.ifn import IFN
+from gmtauber.ifn import IFN, IFNTauberReport
 from gmtauber.mcore import Verdict
 from gmtauber.tauber import TauberReport
 from gmtauber.weights import LambdaGrid, SvaPlusEstimate, default_report_window
@@ -59,6 +59,16 @@ class TestAnalyze:
         doc = load(out)
         assert doc["analysis"]["tauber"]["con1_estimate"] == "inf"
         assert doc["analysis"]["tauber"]["recovery_verdict"] is False
+
+    def test_estimate_below_the_overflow_point_stays_finite(self, tmp_path):
+        # The window is [1, 1]: the Landau bound is exp(709.5), finite
+        # although above exp(709).
+        src = tmp_path / "big.txt"
+        src.write_text("log:\n0.0\n709.5\n709.5\n709.5\n")
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", "--in", str(src), "--no-timestamp", "--out", str(out)) == 0
+        tauber = load(out)["analysis"]["tauber"]
+        assert tauber["landau_bound_estimate"] == 1.3549863193146328e308
 
     def test_determinism(self, tmp_path):
         out = tmp_path / "same.json"
@@ -379,7 +389,7 @@ class TestReportKeys:
         doc = load(out)
         analysis = doc["analysis"]
         tauber = analysis["tauber"]
-        assert set(tauber) == {"mode", "component_labels", "components", "recovery_verdict"}
+        assert set(tauber) == field_names(IFNTauberReport)
         assert set(tauber["components"]) == set(tauber["component_labels"])
         for comp in tauber["components"].values():
             assert set(comp) == field_names(TauberReport)
@@ -403,6 +413,16 @@ class TestConfigErrors:
         assert run_cli(
             "analyze", "--generator", "ex2", "--n-max", "100", "--weights", "what"
         ) == 2
+
+    @pytest.mark.parametrize("spec", ["ones:garbage", "harmonic:1,2", "ones:"])
+    def test_parameterless_family_given_parameters(self, capsys, spec):
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "50", "--weights", spec
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        family = spec.partition(":")[0]
+        assert err == f"error: {family} weights take no parameters, got {spec!r}\n"
 
     @pytest.mark.parametrize("custom", [False, True])
     def test_overflowing_weights(self, capsys, tmp_path, custom):
@@ -789,6 +809,17 @@ class TestOutPath:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}.json for --out: ")
         assert "Is a directory" in err
+
+    @pytest.mark.parametrize("run", ["analyze-csv", "ifn-analyze"])
+    def test_csv_sidecar_is_checked_before_work(self, tmp_path, capsys, no_work, run):
+        out = tmp_path / "r.csv"
+        (tmp_path / "r.csv.json").mkdir()
+        argv = self.RUNS[run] if run == "analyze-csv" else (*self.RUNS[run], "--format", "csv")
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}.json for --out: Is a directory\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("run", ["analyze-json", "generate"])

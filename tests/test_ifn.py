@@ -478,8 +478,8 @@ class TestIFNTauberReport:
         rep = ifn_tauber_report(seq, WeightSequence.ones(1001), mode="oplus")
         assert rep.component_labels == ("one_minus_mu", "nu")
         assert not rep.recovery_verdict
-        assert rep.first.con1_estimate >= 2.0
-        assert rep.second.con1_estimate >= 2.0
+        assert rep.components["one_minus_mu"].con1_estimate >= 2.0
+        assert rep.components["nu"].con1_estimate >= 2.0
 
     def test_constant_sequence_recovers(self):
         seq = [IFN(0.4, 0.3)] * 400
@@ -502,9 +502,9 @@ class TestIFNTauberReport:
         rep = ifn_tauber_report(
             seq, w, window=TailWindow(2000, 4000), mode="oplus", thresholds=thresholds
         )
-        assert rep.first.gbar_verdict.passed
-        assert rep.first.con1_estimate <= 1.05
-        assert rep.second.con1_estimate <= 1.05
+        assert rep.components["one_minus_mu"].gbar_verdict.passed
+        assert rep.components["one_minus_mu"].con1_estimate <= 1.05
+        assert rep.components["nu"].con1_estimate <= 1.05
         assert rep.recovery_verdict
         v = np_oplus_verdict(seq, w, IFN(0.75, 1.0 / 9.0), 1e-3, TailWindow(4000, 8000))
         assert v.passed

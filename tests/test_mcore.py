@@ -8,6 +8,7 @@ from gmtauber.mcore import (
     LogReal,
     MTolerance,
     TailWindow,
+    _safe_exp,
     as_logs,
     is_mstar_bounded,
     mabs,
@@ -43,6 +44,10 @@ class TestLogReal:
         assert (a / b).value == pytest.approx(4.0, rel=1e-12)
         assert (a**2).value == pytest.approx(64.0, rel=1e-12)
         assert a.reciprocal().value == pytest.approx(0.125, rel=1e-12)
+
+    def test_value_saturates_only_where_exp_overflows(self):
+        assert LogReal(709.5).value == _safe_exp(709.5) == math.exp(709.5)
+        assert LogReal(709.79).value == _safe_exp(709.79) == math.inf
 
     def test_survives_huge_exponents(self):
         big = LogReal.from_log(1e5)

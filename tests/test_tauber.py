@@ -347,6 +347,13 @@ class TestLandauEstimates:
         with pytest.raises(ValueError):
             landau_estimates([L(1.0)] * 10, TailWindow(0, 9))
 
+    def test_saturates_only_where_exp_overflows(self):
+        x = np.array([0.0, 709.5, 709.5, 1e6])
+        bound, _ = landau_estimates(x, TailWindow(1, 1))
+        assert bound == math.exp(709.5)
+        bound, _ = landau_estimates(x, TailWindow(1, 3))
+        assert bound == math.inf
+
 
 @st.composite
 def landau_cases(draw):
