@@ -3,20 +3,17 @@ deterministic report emission.
 
 Subcommands: generate, analyze, ifn-analyze, report. Exit codes: 0 on
 success, 2 on configuration errors (unknown generator, bad flags or
-files), 3 on numerical precondition failures inside a pipeline.
+files, a length no memory holds), 3 on numerical precondition failures
+inside a pipeline. Every float table goes out through floatfmt.write_rows.
 """
 
 import argparse
 import contextlib
 import datetime
+import io
 import json
 import math
-import os
-import shutil
 import sys
-import tempfile
-import traceback
-import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -47,7 +44,6 @@ from .generators import GeneratorError
 SCHEMA_VERSION = 1
 DEFAULT_N_MAX_REAL = 10_000
 DEFAULT_N_MAX_IFN = 1_000
-CSV_CHUNK_ROWS = 1 << 13
 
 
 class ConfigError(Exception):
@@ -378,96 +374,14 @@ def _emit(result: RunResult, args: argparse.Namespace) -> None:
             sys.stdout.write(text)
         return
     # csv (main has checked --out): per-index rows plus a sidecar JSON
+    from . import floatfmt  # compiled on first use: runs that print no floats skip it
+
     out, sidecar = Path(args.out), Path(args.out + ".json")
     with _writing(out), out.open("wb") as f:
         f.write((",".join(result.header) + "\n").encode("ascii"))
-        _write_csv_rows(f, result.columns)
+        floatfmt.write_rows(f, result.columns, index=True)
     with _writing(sidecar):
         sidecar.write_text(text)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _write_csv_rows(f, columns: tuple[np.ndarray, ...]) -> None:
-    """Rows 'n,repr(c[n]),...' as ASCII bytes into the binary file f, in
-    chunks of CSV_CHUNK_ROWS, so that only one chunk's text is alive at
-    a time in each process. Rows end in a bare LF on every platform.
-
-    floatfmt formats a float in a few hundred nanoseconds, a fair share
-    of a CSV run, so the rows are still split on chunk boundaries into
-    one contiguous part per usable CPU. The caller formats part 0
-    straight into f; each later part is formatted by a forked child into
-    an unlinked temporary file, which the caller appends to f in order
-    once every child has exited.
-    """
-    from . import floatfmt  # imported here once, so that the children fork with it
-
-    length = columns[0].size
-    chunks = (length + CSV_CHUNK_ROWS - 1) // CSV_CHUNK_ROWS
-    parts = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
-    cuts = [min(length, CSV_CHUNK_ROWS * (chunks * i // parts)) for i in range(parts + 1)]
-    with contextlib.ExitStack() as stack:
-        children = []
-        try:
-            for start, stop in zip(cuts[1:], cuts[2:]):
-                tmp = stack.enter_context(tempfile.TemporaryFile("w+b"))
-                children.append((_fork_rows(tmp, columns, start, stop), tmp, start, stop))
-            _format_rows(f, columns, cuts[0], cuts[1])
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
-        for code, (_, tmp, start, stop) in zip(codes, children):
-            if code != 0:
-                raise RuntimeError(
-                    f"formatting CSV rows {start}..{stop - 1} failed in a child "
-                    f"process (exit code {code})"
-                )
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, f)
-
-
-def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int) -> int:
-    """Fork a child that formats rows start..stop-1 into tmp; its pid."""
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns when a multi-threaded process forks. The
-        # `gmt` entry holds OpenBLAS to one thread, so a `gmt` run forks
-        # with no other thread; an in-process caller of main may still
-        # run numpy's OpenBLAS pool or threads of its own. OpenBLAS shuts
-        # its pool down around fork through pthread_atfork, and the child
-        # only formats bytes and writes one file.
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded", DeprecationWarning
-        )
-        pid = os.fork()
-    if pid:
-        return pid
-    # The child leaves through os._exit, on every path: it must neither
-    # unwind into the caller's stack nor flush the parent's buffers.
-    code = 1
-    try:
-        _format_rows(tmp, columns, start, stop)
-        tmp.flush()
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int) -> None:
-    """Rows start..stop-1, one chunk at a time, each chunk's bytes made by
-    floatfmt.rows in one piece."""
-    from . import floatfmt  # compiled on first use: runs that print no floats skip it
-
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        table = np.column_stack([c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns])
-        f.write(floatfmt.rows(table, first_index=lo))
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +392,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     kind = generators.generator_kind(args.generator)
     n_max = _n_max_or_default(args.n_max, kind)
     values = generators.generate_array(args.generator, n_max)
-    if kind == "real":
-        text = generators.real_sequence_text(values)
+    if args.out is None:  # sys.stdout may be a text stream with no .buffer
+        buf = io.BytesIO()
+        generators.write_sequence(buf, values)
+        sys.stdout.write(buf.getvalue().decode("ascii"))
     else:
-        text = generators.ifn_sequence_text(*values)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with _writing(args.out):
-            Path(args.out).write_text(text)
+        with _writing(args.out), open(args.out, "wb") as f:
+            generators.write_sequence(f, values)
     return 0
 
 
@@ -636,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_real(args) if args.command == "analyze" else run_ifn(args)
         _emit(result, args)
         return 0
-    except (ConfigError, GeneratorError) as exc:
+    except (ConfigError, GeneratorError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError) as exc:

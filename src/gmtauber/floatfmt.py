@@ -26,16 +26,26 @@ Three layers, each on whole arrays:
   small-integer case; inf, -inf and nan are fixed cells.
 - `rows`: the index, cells, commas and newlines of a block of rows go
   into one word matrix, which is written out with its NULs removed.
+- `write_rows`: rows into a binary file, `rows` one chunk at a time,
+  the chunks split across forked processes: every table the package writes.
 
 The tables are built on the first call, never at import.
 """
 
+import contextlib
 import functools
+import os
+import shutil
+import sys
+import tempfile
+import traceback
+import warnings
 
 import numpy as np
 
-__all__ = ["rows"]
+__all__ = ["CSV_CHUNK_ROWS", "rows", "write_rows"]
 
+CSV_CHUNK_ROWS = 1 << 13  # rows per chunk of write_rows
 _U64 = np.uint64
 _MAGNITUDE = _U64((1 << 63) - 1)
 _EXP_INF = _U64(0x7FF << 52)
@@ -449,3 +459,82 @@ def _rows_block(values: np.ndarray, first_index: int | None) -> bytes:
     slots[:, :, width - 1] |= separators
     flat = table.astype("<u8", copy=False).view(np.uint8).reshape(-1)
     return flat[flat != 0].tobytes()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def write_rows(f, columns: tuple[np.ndarray, ...], *, index: bool) -> None:
+    """Rows 'repr(c[n]),...', led by 'n,' where index is true, as ASCII
+    bytes into the binary file f, in chunks of CSV_CHUNK_ROWS, so that
+    only one chunk's text is alive at a time in each process. Rows end in
+    a bare LF on every platform.
+
+    Formatting is a fair share of a run, so the rows are split on chunk
+    boundaries into one contiguous part per usable CPU. The caller
+    formats part 0 straight into f; each later part is formatted by a
+    forked child into an unlinked temporary file, which the caller
+    appends to f in order once every child has exited.
+    """
+    length = columns[0].size
+    chunks = (length + CSV_CHUNK_ROWS - 1) // CSV_CHUNK_ROWS
+    parts = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
+    cuts = [min(length, CSV_CHUNK_ROWS * (chunks * i // parts)) for i in range(parts + 1)]
+    with contextlib.ExitStack() as stack:
+        children = []
+        try:
+            for start, stop in zip(cuts[1:], cuts[2:]):
+                tmp = stack.enter_context(tempfile.TemporaryFile("w+b"))
+                children.append((_fork_rows(tmp, columns, start, stop, index), tmp, start, stop))
+            _format_rows(f, columns, cuts[0], cuts[1], index)
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
+        for code, (_, tmp, start, stop) in zip(codes, children):
+            if code != 0:
+                raise RuntimeError(
+                    f"formatting CSV rows {start}..{stop - 1} failed in a child "
+                    f"process (exit code {code})"
+                )
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, f)
+
+
+def _fork_rows(tmp, columns: tuple[np.ndarray, ...], start: int, stop: int, index: bool) -> int:
+    """Fork a child that formats rows start..stop-1 into tmp; its pid."""
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns when a multi-threaded process forks. The
+        # `gmt` entry holds OpenBLAS to one thread, so a `gmt` run forks
+        # with no other thread; an in-process caller may still run
+        # numpy's OpenBLAS pool or threads of its own. OpenBLAS shuts its
+        # pool down around fork through pthread_atfork, and the child
+        # only formats bytes and writes one file.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid:
+        return pid
+    # The child leaves through os._exit, on every path: it must neither
+    # unwind into the caller's stack nor flush the parent's buffers.
+    code = 1
+    try:
+        _format_rows(tmp, columns, start, stop, index)
+        tmp.flush()
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _format_rows(f, columns: tuple[np.ndarray, ...], start: int, stop: int, index: bool) -> None:
+    """Rows start..stop-1 one chunk at a time, each made by rows in one piece."""
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        table = np.column_stack([c[lo:min(lo + CSV_CHUNK_ROWS, stop)] for c in columns])
+        f.write(rows(table, first_index=lo if index else None))

@@ -2,8 +2,8 @@
 
 Real sequences are written log-domain by default (header line ``log:``)
 so that blow-ups like exp(+-(n+1)) stay representable as text; fuzzy
-sequences are one ``mu,nu`` pair per line. All generators produce
-indices 0..n_max inclusive.
+sequences are one ``mu,nu`` pair per line, and every line ends in LF.
+All generators produce indices 0..n_max inclusive.
 """
 
 import io
@@ -26,8 +26,7 @@ __all__ = [
     "write_real_sequence",
     "read_real_sequence",
     "read_real_logs",
-    "real_sequence_text",
-    "ifn_sequence_text",
+    "write_sequence",
     "write_ifn_sequence",
     "read_ifn_sequence",
 ]
@@ -187,26 +186,25 @@ def generate(spec: str, n_max: int) -> list:
     return list(IFNRows(values))
 
 
-def real_sequence_text(logs: Sequence[float] | np.ndarray) -> str:
-    """A real sequence file: a 'log:' header, then the repr of one log
-    value per line."""
+def write_sequence(f, values: Sequence[float] | np.ndarray) -> None:
+    """A sequence file into the binary file f: a 1-d array of logs as a
+    'log:' header and one repr per line, (2, N) mu and nu rows as one
+    'repr(mu),repr(nu)' line per pair, or one empty line for no pairs."""
     from . import floatfmt  # compiled on first use: runs that print no floats skip it
 
-    lines = floatfmt.rows(np.asarray(logs, dtype=np.float64).reshape(-1, 1))
-    return f"{LOG_HEADER}\n{lines.decode('ascii')}"
-
-
-def ifn_sequence_text(mu: Sequence[float] | np.ndarray, nu: Sequence[float] | np.ndarray) -> str:
-    """An IFN sequence file: one 'repr(mu),repr(nu)' pair per line."""
-    from . import floatfmt  # compiled on first use: runs that print no floats skip it
-
-    pairs = np.column_stack([np.asarray(mu, dtype=np.float64), np.asarray(nu, dtype=np.float64)])
-    return floatfmt.rows(pairs).decode("ascii") or "\n"  # no pairs: one empty line
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        f.write(f"{LOG_HEADER}\n".encode("ascii"))
+    elif values.shape[1] == 0:
+        f.write(b"\n")
+    columns = (values,) if values.ndim == 1 else tuple(values)
+    floatfmt.write_rows(f, columns, index=False)
 
 
 def write_real_sequence(path: str | Path, seq: Sequence[LogReal] | np.ndarray) -> None:
     """One log value per line under a 'log:' header."""
-    Path(path).write_text(real_sequence_text(as_logs(seq)))
+    with open(path, "wb") as f:
+        write_sequence(f, as_logs(seq))
 
 
 def _parse_log(line: str) -> float:
@@ -244,7 +242,8 @@ def read_real_sequence(path: str | Path) -> list[LogReal]:
 
 def write_ifn_sequence(path: str | Path, seq: Sequence[IFN]) -> None:
     """One 'mu,nu' pair per line."""
-    Path(path).write_text(ifn_sequence_text(*as_rows(seq)))
+    with open(path, "wb") as f:
+        write_sequence(f, as_rows(seq))
 
 
 def read_ifn_sequence(path: str | Path) -> IFNRows:

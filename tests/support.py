@@ -309,7 +309,7 @@ def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
 
 
 def write_csv_rows_oracle(f, columns: tuple[np.ndarray, ...], chunk_rows: int) -> None:
-    """gmtauber.cli._write_csv_rows in one process: rows
+    """gmtauber.floatfmt.write_rows in one process: rows
     'n,repr(c[n]),...' as ASCII bytes into the binary file f, in chunks
     of chunk_rows."""
     length = columns[0].size

@@ -1,7 +1,8 @@
 """The real pipeline on float64 log arrays: every public entry point of
 gmean and tauber gives the same result for an ndarray of logs as for the
-same values as LogReal objects, and neither `gmt analyze` nor
-`gmt ifn-analyze` allocates anything per index."""
+same values as LogReal objects, neither `gmt analyze` nor
+`gmt ifn-analyze` allocates anything per index, and `gmt generate`
+holds one chunk of a sequence file's text at a time."""
 
 import io
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 
 from gmtauber.cli import main
 from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
-from gmtauber.generators import generate_array, ifn_sequence_text
+from gmtauber.generators import generate_array, write_ifn_sequence
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
 from gmtauber.tauber import (
     landau_estimates,
@@ -109,7 +110,7 @@ def test_ifn_analyze_csv_allocates_nothing_per_index(tmp_path):
     # dict and two floats, ~200 bytes) would take 20 MB by itself. Traced
     # peaks: 48.2 MB with per-index objects, 13.4 MB on the (2, N) rows.
     path = tmp_path / "seq.txt"
-    path.write_text(ifn_sequence_text(*generate_array("ex4-ifn", 99999).tolist()))
+    write_ifn_sequence(path, generate_array("ex4-ifn", 99999))
     argv = [
         "ifn-analyze", "--in", str(path), "--mode", "otimes",
         "--weights", "alternating:1,3", "--format", "csv",
@@ -123,3 +124,20 @@ def test_ifn_analyze_csv_allocates_nothing_per_index(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("spec, bound_mb", [("exp-decay:c=2", 40), ("ex4-ifn", 60)])
+def test_generate_writes_one_chunk_at_a_time(tmp_path, spec, bound_mb):
+    # 10^6 indices. Traced peaks: 75.6 and 86.1 MB with the whole text
+    # as bytes and then as a str, 24.2 and 44.0 MB one chunk at a time,
+    # where the generated values and their temporaries set the peak.
+    out = tmp_path / "seq.txt"
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--generator", spec, "--n-max", "999999", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert b"\r" not in out.read_bytes()

@@ -534,6 +534,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "too short" in err and "--n-max" in err and "--lambda-grid" in err
 
+    @pytest.mark.parametrize(
+        "command, spec", [("generate", "ex2"), ("analyze", "ex2"), ("ifn-analyze", "ex4-ifn")]
+    )
+    def test_length_no_memory_holds(self, capsys, command, spec):
+        # 10^18 indices take 8 EiB, more than any address space can map, so
+        # numpy's first allocation fails at once, under any overcommit policy.
+        assert run_cli(command, "--generator", spec, "--n-max", str(10**18)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec", ["exp-decay:c=inf", "constant:c=inf", "exp-decay:c=nan"])
     def test_non_finite_generator_parameter(self, capsys, spec):
         assert run_cli("analyze", "--generator", spec, "--n-max", "10") == 2

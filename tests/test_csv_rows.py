@@ -1,7 +1,7 @@
-"""The CSV row writer of `gmt --format csv`: split across forked children
-on chunk boundaries, it writes the bytes of the one-process loop kept in
-`support`, leaves no child process or temporary file behind, and turns a
-child's failure into an error in the caller."""
+"""The row writer of `gmt --format csv` and of sequence files: split
+across forked children on chunk boundaries, it writes the bytes of the
+one-process loop kept in `support`, leaves no child process or temporary
+file behind, and turns a child's failure into an error in the caller."""
 
 import os
 import subprocess
@@ -13,11 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gmtauber import cli
+from gmtauber import floatfmt, generators
 
 import support
 
-C = cli.CSV_CHUNK_ROWS
+C = floatfmt.CSV_CHUNK_ROWS
 HEADER = b"n,a,b,c\n"
 
 
@@ -35,7 +35,7 @@ def _columns(length: int) -> tuple[np.ndarray, ...]:
 def _write(path, columns) -> bytes:
     with open(path, "wb") as f:
         f.write(HEADER)  # buffered, unflushed when the children fork
-        cli._write_csv_rows(f, columns)
+        floatfmt.write_rows(f, columns, index=True)
     return path.read_bytes()
 
 
@@ -70,12 +70,16 @@ def forks(monkeypatch):
     return pids
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize(
+CPUS = pytest.mark.parametrize("cpus", [1, 2, 3])
+LENGTHS = pytest.mark.parametrize(
     "length", [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 5 * C + 3]
 )
+
+
+@CPUS
+@LENGTHS
 def test_split_rows_equal_the_one_process_loop(tmp_path, monkeypatch, forks, cpus, length):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: cpus)
     columns = _columns(length)
     assert _write(tmp_path / "split.csv", columns) == _oracle(tmp_path / "one.csv", columns)
     chunks = -(-length // C)
@@ -83,16 +87,39 @@ def test_split_rows_equal_the_one_process_loop(tmp_path, monkeypatch, forks, cpu
     assert _no_child_left()
 
 
-def test_failing_child_raises_in_the_caller(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    real = cli._format_rows
+@pytest.mark.parametrize("kind", ["real", "ifn"])
+@CPUS
+@LENGTHS
+def test_split_sequence_equals_the_one_process_loop(
+    tmp_path, monkeypatch, forks, cpus, length, kind
+):
+    """The same writer under generators.write_sequence, with no index."""
+    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: cpus)
+    a, b, _ = _columns(length)
+    if kind == "real":
+        values, want = a, "log:\n" + "".join(f"{v!r}\n" for v in a.tolist())
+    else:
+        values = np.stack([a, b])
+        want = "".join(f"{u!r},{v!r}\n" for u, v in zip(a.tolist(), b.tolist()))
+    path = tmp_path / "seq.txt"
+    with open(path, "wb") as f:
+        generators.write_sequence(f, values)
+    assert path.read_bytes() == want.encode("ascii")
+    chunks = -(-length // C)
+    assert len(forks) == min(cpus, chunks) - 1
+    assert _no_child_left()
 
-    def format_rows(f, columns, start, stop):
+
+def test_failing_child_raises_in_the_caller(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: 3)
+    real = floatfmt._format_rows
+
+    def format_rows(f, columns, start, stop, index):
         if start > 0:  # only children format rows past part 0
             raise OSError("no space left")
-        real(f, columns, start, stop)
+        real(f, columns, start, stop, index)
 
-    monkeypatch.setattr(cli, "_format_rows", format_rows)
+    monkeypatch.setattr(floatfmt, "_format_rows", format_rows)
     with pytest.raises(RuntimeError, match=f"rows {2 * C}..{4 * C - 1} failed"):
         _write(tmp_path / "r.csv", _columns(5 * C + 3))
     assert len(forks) == 2
@@ -102,7 +129,7 @@ def test_failing_child_raises_in_the_caller(tmp_path, monkeypatch, forks):
 def test_fork_warning_is_suppressed_under_error_filters(tmp_path, monkeypatch):
     # A live thread makes the process multi-threaded at fork, which is
     # what Python >= 3.12 warns about.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: 2)
     columns = _columns(2 * C + 1)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -122,17 +149,17 @@ def test_cli_with_a_failing_child_does_not_exit_0(tmp_path):
     script = textwrap.dedent(
         """
         import sys
-        from gmtauber import cli
+        from gmtauber import cli, floatfmt
 
-        real = cli._format_rows
+        real = floatfmt._format_rows
 
-        def format_rows(f, columns, start, stop):
+        def format_rows(f, columns, start, stop, index):
             if start > 0:
                 raise OSError("no space left")
-            real(f, columns, start, stop)
+            real(f, columns, start, stop, index)
 
-        cli._usable_cpus = lambda: 2
-        cli._format_rows = format_rows
+        floatfmt._usable_cpus = lambda: 2
+        floatfmt._format_rows = format_rows
         sys.exit(cli.main(sys.argv[1:]))
         """
     )

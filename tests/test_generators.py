@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import tracemalloc
@@ -10,14 +11,13 @@ from gmtauber.generators import (
     generate,
     generate_array,
     generator_kind,
-    ifn_sequence_text,
     list_generators,
     read_ifn_sequence,
     read_real_logs,
     read_real_sequence,
-    real_sequence_text,
     write_ifn_sequence,
     write_real_sequence,
+    write_sequence,
 )
 
 from support import generate_oracle, read_real_sequence_oracle
@@ -102,6 +102,7 @@ class TestSequenceFiles:
         seq = generate("ex1", 50)
         write_real_sequence(path, seq)
         assert path.read_text().splitlines()[0] == "log:"
+        assert b"\r" not in path.read_bytes()
         back = read_real_sequence(path)
         assert [u.log_value for u in back] == [u.log_value for u in seq]
 
@@ -121,6 +122,7 @@ class TestSequenceFiles:
         path = tmp_path / "ifn.txt"
         seq = generate("ex3-ifn", 20)
         write_ifn_sequence(path, seq)
+        assert b"\r" not in path.read_bytes()
         back = read_ifn_sequence(path)
         assert back == seq
 
@@ -148,8 +150,10 @@ class TestSequenceFiles:
         want_real = "\n".join(["log:", *map(repr, logs.tolist())]) + "\n"
         want_ifn = "\n".join(f"{m!r},{v!r}" for m, v in zip(mu.tolist(), nu.tolist())) + "\n"
         for real, pair in ((logs, (mu, nu)), (logs.tolist(), (mu.tolist(), nu.tolist()))):
-            assert real_sequence_text(real) == want_real
-            assert ifn_sequence_text(*pair) == want_ifn
+            for values, want in ((real, want_real), (pair, want_ifn)):
+                f = io.BytesIO()
+                write_sequence(f, values)
+                assert f.getvalue().decode("ascii") == want
 
 
 def _bits(values) -> np.ndarray:

@@ -6,8 +6,9 @@ BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
 file, both IFN modes and `--format csv`, `analyze --format csv` at
-50001 indices, `ifn-analyze --format csv` at 20001 indices, which the
-CSV writer splits across processes where two CPUs are usable, `--theta
+50001 indices, `ifn-analyze --format csv` and `generate --out` of a real
+and an IFN sequence at 20001 indices, which the row writer splits across
+processes where two CPUs are usable, `--theta
 3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
 simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
@@ -127,6 +128,11 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
     for g in REAL_GENERATORS + IFN_GENERATORS:
         cases.append((["generate", "--generator", g, "--n-max", "300"], []))
     cases.append((["generate", "--generator", "ex1", "--n-max", "50", "--out", "gen.txt"], ["gen.txt"]))
+    # Three chunks each, so the row writer forks where two CPUs are usable.
+    for g in ("ex4-ifn", "exp-decay:c=2"):
+        cases.append((
+            ["generate", "--generator", g, "--n-max", "20000", "--out", "big.txt"], ["big.txt"]
+        ))
     for g in REAL_GENERATORS:
         cases.append((
             ["analyze", "--generator", g, "--n-max", "3000",
