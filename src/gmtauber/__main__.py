@@ -17,7 +17,11 @@ def run() -> int:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .cli import main
 
-    return main()
+    try:
+        return main()
+    except BrokenPipeError:  # stdout's reader left early, as in `gmt generate | head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 0
 
 
 if __name__ == "__main__":

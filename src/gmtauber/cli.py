@@ -392,7 +392,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     kind = generators.generator_kind(args.generator)
     n_max = _n_max_or_default(args.n_max, kind)
     values = generators.generate_array(args.generator, n_max)
-    if args.out is None:  # sys.stdout may be a text stream with no .buffer
+    if args.out is None and hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what the text layer holds goes out first
+        generators.write_sequence(sys.stdout.buffer, values)
+    elif args.out is None:  # a text stream with no .buffer, such as io.StringIO
         buf = io.BytesIO()
         generators.write_sequence(buf, values)
         sys.stdout.write(buf.getvalue().decode("ascii"))

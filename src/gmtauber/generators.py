@@ -3,7 +3,8 @@
 Real sequences are written log-domain by default (header line ``log:``)
 so that blow-ups like exp(+-(n+1)) stay representable as text; fuzzy
 sequences are one ``mu,nu`` pair per line, and every line ends in LF.
-All generators produce indices 0..n_max inclusive.
+All generators produce indices 0..n_max inclusive. One reader,
+`_read_table`, parses real, IFN and weight files alike.
 """
 
 import io
@@ -35,6 +36,7 @@ LOG_HEADER = "log:"
 # Line breaks of str.splitlines() other than '\n' and '\r', which text
 # files read with universal newlines never hold.
 _SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAKS = "\n\r" + _SPLITLINES_ONLY_BREAKS
 
 
 class GeneratorError(ValueError):
@@ -207,32 +209,42 @@ def write_real_sequence(path: str | Path, seq: Sequence[LogReal] | np.ndarray) -
         write_sequence(f, as_logs(seq))
 
 
-def _parse_log(line: str) -> float:
-    x = float(line)
-    if not math.isfinite(x):
-        raise ValueError(f"log_value must be finite, got {x}")
-    return x
+def _after_log_header(text: str) -> int:
+    """The index just past a 'log:' header line (the first non-blank line,
+    stripped, ending at any str.splitlines() break); 0 where there is none."""
+    start = len(text) - len(text.lstrip())
+    if not text.startswith(LOG_HEADER, start):
+        return 0
+    for i in range(start + len(LOG_HEADER), len(text)):
+        if text[i] in _LINE_BREAKS:
+            return i + 1
+        if not text[i].isspace():
+            return 0
+    return len(text)
 
 
-def _parse_plain(line: str) -> float:
-    value = float(line)
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"need a finite positive real, got {value}")
-    return math.log(value)
+def _real_logs(values: np.ndarray, plain: bool) -> np.ndarray:
+    """A real file's logs: its values after a 'log:' header, else their
+    math.log. The first bad value raises LogReal's or LogReal.of's error."""
+    ok = np.isfinite(values) & (values > 0) if plain else np.isfinite(values)
+    if not ok.all():  # the constructor raises its error for the first bad value
+        (LogReal.of if plain else LogReal)(values[np.argmin(ok)].item())
+    if not plain:
+        return values
+    return np.fromiter(map(math.log, values.tolist()), np.float64, values.size)
 
 
 def read_real_logs(path: str | Path) -> np.ndarray:
     """Read either plain positive decimals or log-domain values into a
     float64 log array."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError(f"sequence file {path} is empty")
-    if lines[0] == LOG_HEADER:
-        if len(lines) == 1:
-            raise ValueError(f"sequence file {path} has no values")
-        return np.fromiter(map(_parse_log, lines[1:]), np.float64, len(lines) - 1)
-    return np.fromiter(map(_parse_plain, lines), np.float64, len(lines))
+    text = Path(path).read_text()
+    start = _after_log_header(text)
+    plain = start == 0
+    text = text[start:]  # rebound, so one copy of the values' text is alive
+    values = _read_table(text, 1, path, lambda rows: _real_logs(rows[0], plain))[0]
+    if values.size == 0:
+        raise ValueError(f"sequence file {path} {'is empty' if plain else 'has no values'}")
+    return _real_logs(values, plain)
 
 
 def read_real_sequence(path: str | Path) -> list[LogReal]:
@@ -248,67 +260,57 @@ def write_ifn_sequence(path: str | Path, seq: Sequence[IFN]) -> None:
 
 def read_ifn_sequence(path: str | Path) -> IFNRows:
     """One 'mu,nu' pair per line, as a read-only sequence of IFN over the
-    normalized (2, N) rows.
+    normalized (2, N) rows. A malformed file raises the ValueError of its
+    first bad line: a line that is not a pair of floats, or a pair that
+    IFN() rejects."""
+    rows = _read_table(Path(path).read_text(), 2, path, simplex_rows)
+    if rows.shape[1] == 0:
+        raise ValueError(f"sequence file {path} is empty")
+    return IFNRows(simplex_rows(rows))
 
-    A malformed file raises the ValueError of its first bad line, in the
-    order the lines are read: a line that is not a pair of floats, or a
-    pair that IFN() rejects.
 
-    The file is parsed in one C pass (np.loadtxt), whose number syntax is
-    a subset of float()'s, with the same values and the same whitespace
-    stripping; so a file it takes whole as n >= 1 rows of two floats
-    reads the same as line by line. Anything else, such as whitespace-only
-    lines, '1_0' or non-ASCII digits, or a line that is not a pair, goes
-    through the per-line reader.
+def _read_table(text: str, ncols: int, path: str | Path, check=None) -> np.ndarray:
+    """The (ncols, n) float64 table of a sequence file's text, one row of
+    comma-separated floats per non-blank line (n = 0 where there is none).
+    The first bad line raises float()'s error, or for ncols = 2 that of a
+    line that is not a 'mu,nu' pair, after check(the rows before it): an
+    earlier row's error comes first.
+
+    One C pass (numpy's loadtxt) reads a text it takes whole, with no warning
+    (as on a text with no data), as n >= 1 rows of ncols floats: its
+    number syntax is a subset of float()'s, with the same values and
+    whitespace stripping. Anything else, such as whitespace-only lines,
+    '1_0' or non-ASCII digits, or a row of another width, goes line by line.
     """
-    text = Path(path).read_text()
     # The C pass splits lines at '\n' alone and strips the other
-    # str.splitlines() breaks as whitespace, so a file holding one goes
-    # line by line.
+    # str.splitlines() breaks as whitespace: a text holding one goes line by line.
     if not any(c in text for c in _SPLITLINES_ONLY_BREAKS):
-        pairs = _loadtxt_pairs(text)
-        if pairs is not None:
-            return IFNRows(simplex_rows(pairs.T))
-    return _read_ifn_lines(text.splitlines(), path)
-
-
-def _loadtxt_pairs(text: str) -> np.ndarray | None:
-    """The (n, 2) array np.loadtxt parses from a file's text, or None where
-    it fails, warns (as on a file with no data) or finds another shape."""
-    # The text goes in as UTF-8 bytes, decoded in chunks as from a file:
-    # an io.StringIO of it would hold 4 bytes per character (32 MB for a
-    # 7.9 MB file).
-    f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            pairs = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if caught or pairs.shape[0] == 0 or pairs.shape[1] != 2:
-        return None
-    return pairs
-
-
-def _read_ifn_lines(lines: list[str], path: str | Path) -> IFNRows:
-    """read_ifn_sequence one line at a time."""
-    rows = np.empty((2, len(lines)))
-    mu, nu = rows
+        # UTF-8 bytes, decoded in chunks as from a file: an io.StringIO of
+        # the text would hold 4 bytes per character (32 MB for a 7.9 MB file).
+        f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                table = np.empty((0, 0))
+        if not caught and table.shape[0] and table.shape[1] == ncols:
+            return table.T
+    lines = text.splitlines()
+    rows = np.empty((ncols, len(lines)))
     k = 0
     for i, ln in enumerate(lines):
         ln = ln.strip()
         if not ln:
             continue
-        m, sep, v = ln.partition(",")
+        fields = ln.split(",") if ncols > 1 else [ln]  # one column: the whole line to float()
         try:
-            if not sep or "," in v:
+            if len(fields) != ncols:
                 raise ValueError(f"line {i + 1} of {path} is not a 'mu,nu' pair: {ln!r}")
-            mu[k] = float(m)
-            nu[k] = float(v)
+            rows[:, k] = [float(x) for x in fields]
         except ValueError:
-            simplex_rows(rows[:, :k])  # an earlier pair's error comes first
+            if check is not None:
+                check(rows[:, :k])
             raise
         k += 1
-    if k == 0:
-        raise ValueError(f"sequence file {path} is empty")
-    return IFNRows(simplex_rows(rows[:, :k]))
+    return rows[:, :k]

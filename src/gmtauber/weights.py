@@ -110,9 +110,10 @@ class WeightSequence:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WeightSequence":
-        """One decimal weight per line."""
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-        return cls([float(ln) for ln in lines if ln])
+        """One decimal weight per line, through the sequence-file reader."""
+        from .generators import _read_table  # generators imports this module through ifn
+
+        return cls(_read_table(Path(path).read_text(), 1, path)[0])
 
 
 def partial_sum(w: WeightSequence, n: int) -> float:

@@ -1,12 +1,12 @@
 """Shared test helpers: definition-level IFN mean folds, generators for
 sequences those folds can evaluate without float underflow, the per-n
 slow-oscillation loop kept as the oracle for the vectorized one, the
-per-element sequence generators and per-line file readers kept as
-oracles for the array ones, the one-process CSV row loop kept as the
-oracle for the split writer in the CLI, and the object-level IFN means, checks,
-sandwiches and component report kept as oracles for the (2, N) row
-ones, and the full-length longdouble prefix-sum formulas kept as
-oracles for the in-place build in gmean."""
+per-element sequence generators and per-line file readers (real, IFN
+and weights) kept as oracles for the array ones, the one-process CSV
+row loop kept as the oracle for the split writer in the CLI, and the
+object-level IFN means, checks, sandwiches and component report kept
+as oracles for the (2, N) row ones, and the full-length longdouble
+prefix-sum formulas kept as oracles for the in-place build in gmean."""
 
 import math
 import warnings
@@ -306,6 +306,12 @@ def read_ifn_sequence_oracle(path: str | Path) -> list[IFN]:
     if not out:
         raise ValueError(f"sequence file {path} is empty")
     return out
+
+
+def read_weights_oracle(path: str | Path) -> WeightSequence:
+    """Per-line form of gmtauber.weights.WeightSequence.from_file."""
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    return WeightSequence([float(ln) for ln in lines if ln])
 
 
 def write_csv_rows_oracle(f, columns: tuple[np.ndarray, ...], chunk_rows: int) -> None:

@@ -1,8 +1,9 @@
 """The real pipeline on float64 log arrays: every public entry point of
 gmean and tauber gives the same result for an ndarray of logs as for the
 same values as LogReal objects, neither `gmt analyze` nor
-`gmt ifn-analyze` allocates anything per index, and `gmt generate`
-holds one chunk of a sequence file's text at a time."""
+`gmt ifn-analyze` allocates anything per index, `gmt generate` holds
+one chunk of a sequence file's text at a time, and the sequence-file
+reader makes no str per line."""
 
 import io
 import tracemalloc
@@ -11,9 +12,15 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from gmtauber import floatfmt
 from gmtauber.cli import main
 from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
-from gmtauber.generators import generate_array, write_ifn_sequence
+from gmtauber.generators import (
+    generate_array,
+    read_real_logs,
+    write_ifn_sequence,
+    write_real_sequence,
+)
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
 from gmtauber.tauber import (
     landau_estimates,
@@ -126,18 +133,58 @@ def test_ifn_analyze_csv_allocates_nothing_per_index(tmp_path):
     assert peak < 30e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def _traced_main(argv: list[str]) -> tuple[int, int]:
+    """main(argv)'s exit code and traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
 @pytest.mark.parametrize("spec, bound_mb", [("exp-decay:c=2", 40), ("ex4-ifn", 60)])
 def test_generate_writes_one_chunk_at_a_time(tmp_path, spec, bound_mb):
     # 10^6 indices. Traced peaks: 75.6 and 86.1 MB with the whole text
     # as bytes and then as a str, 24.2 and 44.0 MB one chunk at a time,
     # where the generated values and their temporaries set the peak.
+    argv = ["generate", "--generator", spec, "--n-max", "999999"]
     out = tmp_path / "seq.txt"
-    tracemalloc.start()
-    try:
-        code = main(["generate", "--generator", spec, "--n-max", "999999", "--out", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_main(argv + ["--out", str(out)])
     assert code == 0
     assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
     assert b"\r" not in out.read_bytes()
+    # The same chunks into stdout's binary buffer: 24.0 and 44.0 MB, where
+    # a BytesIO of the whole text, then a str of it, peaked at 75.1 and 97.0.
+    piped = tmp_path / "piped.txt"
+    with open(piped, "wb") as f, io.TextIOWrapper(f, encoding="ascii") as stream:
+        with redirect_stdout(stream):
+            code, peak = _traced_main(argv)
+    assert code == 0
+    assert peak < bound_mb * 1e6, f"traced peak to stdout {peak / 1e6:.1f} MB"
+    assert piped.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("form, bound_mb", [("log", 80), ("plain", 80), ("weights", 60)])
+def test_reading_a_file_makes_no_str_per_line(tmp_path, form, bound_mb):
+    # 10^6 lines, 22 or 19 MB of text. Traced peaks: 54.5, 67.8 and 47.3 MB
+    # through the one C pass (the plain form adds math.log's list of
+    # floats), against 101.2, 94.0 and 124.7 MB with a list of every
+    # stripped line and a float() per line.
+    logs = generate_array("exp-decay:c=2", 999999)
+    path = tmp_path / "seq.txt"
+    if form == "log":
+        write_real_sequence(path, logs)
+    else:
+        with open(path, "wb") as f:
+            floatfmt.write_rows(f, (np.exp(logs),), index=False)
+    read = WeightSequence.from_file if form == "weights" else read_real_logs
+    tracemalloc.start()
+    try:
+        values = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == logs.size
+    assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -1,8 +1,9 @@
 """The package entry points: `import gmtauber` loads no submodule and
 not numpy, its lazy names are the submodules' own objects, library
-imports leave the environment alone, and the `gmt` entry holds
-OpenBLAS to one thread unless the caller chose a count. Each check runs
-in a fresh interpreter, since this one has numpy loaded already."""
+imports leave the environment alone, the `gmt` entry holds OpenBLAS to
+one thread unless the caller chose a count, and it ends quietly when
+its stdout's reader leaves early. Each check runs in a fresh
+interpreter, since this one has numpy loaded already."""
 
 import os
 import re
@@ -120,3 +121,20 @@ def test_console_script_is_the_entry():
     import gmtauber.__main__ as entry
 
     assert callable(entry.run)
+
+
+def test_gmt_entry_ends_quietly_when_the_reader_leaves():
+    # `gmt generate | head -1`: the sequence is written in chunks, and the
+    # chunk after the reader has gone meets a closed pipe.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gmtauber", "generate", "--generator", "ex4-ifn",
+         "--n-max", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"0.001371742112482853,0.984375\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

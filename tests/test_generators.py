@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmtauber.generators import (
     GeneratorError,
@@ -267,3 +268,47 @@ class TestArrayReaderMatchesPerLine:
         expected = _oracle_outcome(path)
         assert expected[0] == "ValueError"
         assert _array_outcome(path) == expected
+
+
+# Lines the per-line reader and the C pass may read differently: blank and
+# whitespace-only lines, header look-alikes, tokens that float() takes and
+# numpy's C parser does not (or the other way round), bad values, and
+# lines that only str.splitlines() or universal newlines break in two.
+BLANK_LINES = ["", "  ", "\t"]
+HEADER_LINES = ["log:", " log: ", "log:1.0", "log: 1.0", "log:\x0c2.0", "LOG:"]
+REAL_TRICKY_LINES = BLANK_LINES + HEADER_LINES + [
+    "1_0", "\u0661", "0.\u0661", "nan", "inf", "0", "-0.0", "-1", "abc", "1.0,2.0", "0x10",
+    "2.5\r3.5", "0.5\x0c0.25",
+]
+positive_reprs = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+finite_reprs = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+def _log_bits_outcome(read, path):
+    """The bit patterns of the logs read, or the ValueError text."""
+    try:
+        logs = read(path)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return _bits(logs).tolist()
+
+
+class TestRealReaderMatchesPerLineProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Blank lines and header look-alikes before the values, which
+        # decide whether the file is log-domain.
+        st.lists(st.sampled_from(BLANK_LINES + HEADER_LINES), max_size=3),
+        st.lists(
+            st.one_of(positive_reprs, finite_reprs, st.sampled_from(REAL_TRICKY_LINES)),
+            max_size=25,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_same_logs_or_same_error(self, tmp_path_factory, head, lines, end):
+        path = tmp_path_factory.mktemp("real") / "seq.txt"
+        path.write_bytes("".join(ln + end for ln in head + lines).encode())
+        expected = _log_bits_outcome(
+            lambda p: [u.log_value for u in read_real_sequence_oracle(p)], path
+        )
+        assert _log_bits_outcome(read_real_logs, path) == expected

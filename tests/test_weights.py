@@ -17,6 +17,8 @@ from gmtauber.weights import (
     sva_plus_estimate,
 )
 
+import support
+
 
 class TestLambdaIndex:
     @pytest.mark.parametrize(
@@ -132,6 +134,34 @@ class TestWeightSequence:
         f.write_text("2.0\n1.0\n\n0.5\n")
         w = WeightSequence.from_file(f)
         assert list(w.p) == [2.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2.0\r\n1.0\r\n\r\n  \r\n\t\r\n0.5\r\n",
+            "\n\n1_0\n2.5\n",
+            "1.0\nnan\n",
+            "1.0\n-1\n",
+            "1,2\n",
+            "1.0\n-1\nabc\n",
+            "",
+        ],
+        ids=["crlf-blank", "underscore", "nan", "negative", "pair", "bad-value-then-token", "empty"],
+    )
+    def test_from_file_matches_per_line(self, tmp_path, text):
+        f = tmp_path / "w.txt"
+        f.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                return read(f).p.view(np.uint64).tolist()
+            except ValueError as exc:
+                return ("ValueError", str(exc))
+
+        expected = outcome(support.read_weights_oracle)
+        assert outcome(WeightSequence.from_file) == expected
+        if not text:
+            assert expected == ("ValueError", "weights must be a non-empty 1-d sequence")
 
 
 class TestLambdaGrid:

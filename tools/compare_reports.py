@@ -12,7 +12,10 @@ processes where two CPUs are usable, `--theta
 3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
 simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
-two runs that skip lambdas: a lambda whose blocks are all empty in
+a `log:` file and a plain file of the same kind (the `log:` header
+with trailing spaces, after blank lines), a plain file whose bad value
+comes before a bad token (exit 2), custom weights from a CRLF file with
+blank lines, two runs that skip lambdas: a lambda whose blocks are all empty in
 con1 and slow_osc_forward, and custom weights p_0 = 1 followed by zeros,
 which skip every condition lambda and give `inf` estimates, and a `log:`
 file of edge values through `analyze --format csv`, whose `log_u`
@@ -20,8 +23,8 @@ column reaches every branch of the CSV float formatter: signed zeros,
 subnormals, the limits of the positional layout, two- and three-digit
 exponents, integers and dyadic values) runs once
 under each tree in the same scratch directory, with
-`--no-timestamp` wherever a report is written. The exit code, stdout
-and every output file must match byte for byte. Each `--bench-seed`
+`--no-timestamp` wherever a report is written. The exit code, stdout,
+stderr and every output file must match byte for byte. Each `--bench-seed`
 adds the three benchmark workloads of `perfbench/workloads.py` at full
 size for that seed.
 
@@ -30,6 +33,7 @@ the byte offset that differ, 2 on a usage error.
 """
 
 import argparse
+import math
 import os
 import random
 import shlex
@@ -76,6 +80,20 @@ def _inputs(workdir: Path) -> None:
         mu_text = "2_5e-2" if n % 101 == 0 else repr(mu)
         per_line.append(f"{mu_text},{nu!r}")
     (workdir / IFN_PER_LINE_FILE).write_bytes("".join(f"{ln}\r\n" for ln in per_line).encode())
+    for name, header in ((REAL_LOG_PER_LINE_FILE, "log:   "), (REAL_PLAIN_PER_LINE_FILE, None)):
+        lines = ["", "  "] + ([header] if header else [])
+        for n in range(1500):
+            if n % 89 == 0:
+                lines.append(" \t ")
+            v = rng.uniform(0.5, 2.0)
+            lines.append("2_5e-2" if n % 103 == 0 else repr(v if header is None else math.log(v)))
+        (workdir / name).write_bytes("".join(f"{ln}\r\n" for ln in lines).encode())
+    # A bad value (line 3) before a token only float() would refuse (line 5).
+    (workdir / REAL_MALFORMED_FILE).write_text("1.5\n0.75\n-2.0\n1.25\n1.0;2.0\n")
+    weights = [f"{0.5 + rng.random()!r}" for _ in range(1200)]
+    for n in range(0, 1200, 150):
+        weights[n] += "\r\n"
+    (workdir / CRLF_WEIGHTS_FILE).write_bytes("".join(f"{w}\r\n" for w in weights).encode())
     (workdir / ZERO_WEIGHTS_FILE).write_text("1\n" + "0\n" * 1000)
     (workdir / EDGE_VALUES_FILE).write_text("log:\n" + "".join(f"{v}\n" for v in EDGE_VALUES) * 40)
 
@@ -90,6 +108,15 @@ IFN_BOUNDARY_FILES = ("ifn_over.txt", "ifn_zero_nu.txt", "ifn_zero_mu.txt", "ifn
 # Pairs that float() takes and numpy's C parser does not, so the IFN
 # reader falls back to its per-line loop.
 IFN_PER_LINE_FILE = "ifn_per_line.txt"
+# Real files that only the per-line reader takes: CRLF ends, leading blank
+# lines, whitespace-only lines and '2_5e-2' tokens; the 'log:' one has a
+# header with trailing spaces.
+REAL_LOG_PER_LINE_FILE = "real_log_per_line.txt"
+REAL_PLAIN_PER_LINE_FILE = "real_plain_per_line.txt"
+# A plain file whose first bad line is a value that LogReal.of() rejects.
+REAL_MALFORMED_FILE = "real_malformed.txt"
+# Custom weights with CRLF ends and a blank line every 150 weights.
+CRLF_WEIGHTS_FILE = "w_crlf.txt"
 # p_0 = 1 and then zeros: P never moves, so every condition block is skipped.
 ZERO_WEIGHTS_FILE = "w_zeros.txt"
 # Log values at the edges of repr's layout and of Ryu's branches (exact
@@ -186,6 +213,11 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
           "--weights", f"custom:{ZERO_WEIGHTS_FILE}", NO_TS], []),
         (["analyze", "--in", EDGE_VALUES_FILE, "--format", "csv", "--out", "e.csv", NO_TS],
          ["e.csv", "e.csv.json"]),
+        (["analyze", "--in", REAL_LOG_PER_LINE_FILE, "--weights", "harmonic", NO_TS], []),
+        (["analyze", "--in", REAL_PLAIN_PER_LINE_FILE, "--tol", "1.5", NO_TS], []),
+        (["analyze", "--in", REAL_MALFORMED_FILE, NO_TS], []),
+        (["analyze", "--generator", "exp-decay:c=2", "--n-max", "1000",
+          "--weights", f"custom:{CRLF_WEIGHTS_FILE}", NO_TS], []),
     ]
     for name in IFN_BOUNDARY_FILES:
         for mode in ("oplus", "otimes"):
@@ -216,7 +248,11 @@ def run(src: Path, argv: list[str], outputs: list[str], workdir: Path) -> list[t
         [sys.executable, "-m", "gmtauber", *argv],
         cwd=workdir, env=env, capture_output=True, check=False,
     )
-    artifacts = [("exit code", str(proc.returncode).encode()), ("stdout", proc.stdout)]
+    artifacts = [
+        ("exit code", str(proc.returncode).encode()),
+        ("stdout", proc.stdout),
+        ("stderr", proc.stderr),
+    ]
     for name in outputs:
         path = workdir / name
         artifacts.append((name, path.read_bytes() if path.exists() else b"<missing>"))
