@@ -81,7 +81,7 @@ def _exp_decay(n: np.ndarray, params: dict) -> np.ndarray:
 
 
 def _linear(n: np.ndarray, params: dict) -> np.ndarray:
-    return np.fromiter(map(math.log, (n + 1.0).tolist()), np.float64, n.size)
+    return np.fromiter(map(math.log, n + 1.0), np.float64, n.size)
 
 
 def _nonunique(n: np.ndarray, params: dict) -> np.ndarray:
@@ -231,7 +231,7 @@ def _real_logs(values: np.ndarray, plain: bool) -> np.ndarray:
         (LogReal.of if plain else LogReal)(values[np.argmin(ok)].item())
     if not plain:
         return values
-    return np.fromiter(map(math.log, values.tolist()), np.float64, values.size)
+    return np.fromiter(map(math.log, values), np.float64, values.size)
 
 
 def read_real_logs(path: str | Path) -> np.ndarray:

@@ -4,9 +4,9 @@ order relations, windowed convergence checks, and the weighted
 averaging/geometric mean sequences with their recovery diagnostics.
 
 The weighted means reduce componentwise to the real-valued geometric
-mean transform from `gmean`, which is also how the recovery conditions
-from `tauber` are applied: to (1-mu_n, nu_n) for the additive mean and
-to (mu_n, 1-nu_n) for the multiplicative one.
+mean transform from `gmean`, and the recovery conditions from `tauber`
+apply to the same real sequences, whose logs one component map forms:
+(1-mu_n, nu_n) for the additive mean, (mu_n, 1-nu_n) for the other.
 
 Bulk computations work on a sequence as one (2, N) float64 array of
 mu/nu rows (`as_rows`); `IFN` objects appear only at the API edges.
@@ -547,12 +547,13 @@ def otimes_convergence_check(
     return _oplus_converges(block, xi.nu, xi.mu, tol, "multiplicative")
 
 
-def _oplus_rows(rows: np.ndarray, swap: bool) -> np.ndarray:
-    """The (mu, nu) rows, or when `swap` those of (sigma a_n), whose
-    logs log(1 - mu) and log(nu) are the real sequences behind the
-    additive mean. Every element must lie <_L (1, 0) after the swap; the
-    first that does not is named unswapped."""
-    mu, nu = oriented = rows[::-1] if swap else rows
+def _component_map(rows: np.ndarray, swap: bool) -> tuple[tuple, int]:
+    """(label, log) of the two real sequences behind the additive mean of
+    the rows, or of (sigma a_n) when `swap`, complement first, and the
+    step (1 or -1) to the caller's (mu, nu) order. log(out=None) forms
+    log(1 - mu) or log(nu) when it is called. Every element must lie
+    <_L (1, 0) after the swap; the first that does not is named unswapped."""
+    mu, nu = rows[::-1] if swap else rows
     outside = ~_oplus_domain(mu, nu)
     if outside.any():
         k = int(np.argmax(outside))
@@ -563,25 +564,26 @@ def _oplus_rows(rows: np.ndarray, swap: bool) -> np.ndarray:
             f"element {k} = {_box(*rows[:, k].tolist())} violates the "
             f"{mean}-mean assumption (needs {need})"
         )
-    return oriented
+    labels = ("one_minus_nu", "mu") if swap else ("one_minus_mu", "nu")
+    logs = (lambda out=None: np.log(1.0 - mu, out=out), lambda out=None: np.log(nu, out=out))
+    return tuple(zip(labels, logs)), -1 if swap else 1
 
 
 def _oplus_means(seq: Sequence[IFN], w: WeightSequence, swap: bool) -> IFNRows:
-    """t_n = (1 - W(1-mu)_n, W(nu)_n) of the rows, or of (sigma a_n)
-    swapped back when `swap`; normalized in the caller's (mu, nu) order,
-    so that an IFN error shows the pair unswapped. W(nu) is clamped to
-    W(1-mu), which it cannot exceed in exact arithmetic, so that the
-    means stay on the simplex when rounding says otherwise."""
+    """t_n = (1 - W(1-mu)_n, W(nu)_n) of the component map's oriented rows,
+    normalized in the caller's (mu, nu) order so that an IFN error shows
+    the pair unswapped. W(nu) is clamped to W(1-mu), which it cannot
+    exceed in exact arithmetic, so that the means stay on the simplex."""
     rows = as_rows(seq)
     if rows.shape[1] == 0:
         raise ValueError("cannot average an empty sequence")
-    mu, nu = _oplus_rows(rows, swap)
-    means = np.stack([np.log(1.0 - mu), np.log(nu)])
-    for row in means:
-        np.exp(transform_log_values(row, w), out=row)
+    pairs, step = _component_map(rows, swap)
+    means = np.empty(rows.shape)
+    for row, (_, log) in zip(means, pairs):
+        np.exp(transform_log_values(log(row), w), out=row)
     np.minimum(means[1], means[0], out=means[1])
     np.subtract(1.0, means[0], out=means[0])
-    return IFNRows(simplex_rows(means[::-1] if swap else means))
+    return IFNRows(simplex_rows(means[::step]))
 
 
 def ifwa_means(seq: Sequence[IFN], w: WeightSequence) -> IFNRows:
@@ -674,19 +676,16 @@ def ifn_tauber_report(
     rows = as_rows(seq)
     if mode not in ("oplus", "otimes"):
         raise ValueError(f"mode must be 'oplus' or 'otimes', got {mode!r}")
-    swap = mode == "otimes"
-    mu, nu = _oplus_rows(rows, swap)
+    pairs, step = _component_map(rows, mode == "otimes")
     # Each component's log is formed just before its report and freed
     # with it, so one component log and one S are alive at a time.
-    logs = (lambda: np.log(1.0 - mu), lambda: np.log(nu))
-    labels = ("mu", "one_minus_nu") if swap else ("one_minus_mu", "nu")
     components = {
         label: recoverability_report(log(), w, grid, window, thresholds)
-        for label, log in zip(labels, logs[::-1] if swap else logs)
+        for label, log in pairs[::step]
     }
     return IFNTauberReport(
         mode=mode,
-        component_labels=labels,
+        component_labels=tuple(components),
         components=components,
         recovery_verdict=all(rep.recovery_verdict for rep in components.values()),
     )

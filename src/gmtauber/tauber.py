@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .mcore import LogReal, MTolerance, TailWindow, Verdict, _safe_exp, as_logs
-from .weights import LambdaGrid, WeightSequence, _lambda_blocks, default_report_window
+from .weights import LambdaGrid, WeightSequence, _grid_and_window, _lambda_blocks
 from .gmean import _block_deviations, _block_means, _prefix_gbar_verdict, _prefix_sums
 
 __all__ = [
@@ -50,13 +50,9 @@ def _branch_min(
     empty: str,
     **kwargs,
 ) -> float:
-    """Min over the lambdas of curve(x, grid=grid, window=window, **kwargs),
-    with the grid and the window defaulting as in the report;
-    ValueError(empty) if the curve has no lambda."""
-    if grid is None:
-        grid = LambdaGrid.default()
-    if window is None:
-        window = default_report_window(x.size, grid)
+    """Min over the lambdas of curve(x, grid=grid, window=window, **kwargs)
+    at _grid_and_window's defaults; ValueError(empty) if it has no lambda."""
+    grid, window = _grid_and_window(x.size, grid, window)
     values = curve(x, grid=grid, window=window, **kwargs).values()
     if not values:
         raise ValueError(empty)
@@ -237,12 +233,9 @@ def recoverability_report(
     curves, whose window transient is the report's other large one.
     """
     x = as_logs(u)
-    if grid is None:
-        grid = LambdaGrid.default()
+    grid, window = _grid_and_window(x.size, grid, window)
     if thresholds is None:
         thresholds = ReportThresholds()
-    if window is None:
-        window = default_report_window(x.size, grid)
 
     up, down = grid.above_one, grid.below_one
     branch = {"con1": up, "con2": down, "slow_osc_forward": up, "slow_osc_backward": down}

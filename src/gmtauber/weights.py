@@ -1,7 +1,7 @@
 """Weight sequences p_n, their partial sums P_n, the lambda-index map,
-and the one lambda-window policy: `usable_end`, `default_report_window`
-and the block walk `_lambda_blocks`, which every per-lambda estimator
-uses and which alone orients each block from lambda's side of 1.
+and the one lambda-window policy of every per-lambda estimator:
+`usable_end`, `default_report_window`, its defaults `_grid_and_window`
+and the block walk `_lambda_blocks`, which alone orients each block.
 
 Also hosts an empirical membership diagnostic for the class of weights
 whose partial-sum ratios P_{lambda_n}/P_n stay bounded away from 1 for
@@ -192,6 +192,16 @@ def default_report_window(length: int, grid: LambdaGrid) -> TailWindow:
     return TailWindow(max(1, end // 2), end)
 
 
+def _grid_and_window(
+    length: int, grid: LambdaGrid | None, window: TailWindow | None
+) -> tuple[LambdaGrid, TailWindow]:
+    """LambdaGrid.default() and default_report_window where they are None."""
+    grid = grid or LambdaGrid.default()
+    if window is None:
+        window = default_report_window(length, grid)
+    return grid, window
+
+
 def _lambda_blocks(
     lambdas: tuple[float, ...], window: TailWindow, length: int
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
@@ -234,10 +244,7 @@ def sva_plus_estimate(
 ) -> SvaPlusEstimate:
     """Estimate how far the partial-sum ratios stay from 1 per lambda;
     `window` defaults to default_report_window."""
-    if grid is None:
-        grid = LambdaGrid.default()
-    if window is None:
-        window = default_report_window(len(w), grid)
+    grid, window = _grid_and_window(len(w), grid, window)
     window.check_fits(len(w), "weights")
     # lambda_n is the end of n's block that is not n: lo + hi - n.
     per_lambda = {

@@ -166,12 +166,12 @@ def test_generate_writes_one_chunk_at_a_time(tmp_path, spec, bound_mb):
     assert piped.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("form, bound_mb", [("log", 80), ("plain", 80), ("weights", 60)])
+@pytest.mark.parametrize("form, bound_mb", [("log", 80), ("plain", 60), ("weights", 60)])
 def test_reading_a_file_makes_no_str_per_line(tmp_path, form, bound_mb):
-    # 10^6 lines, 22 or 19 MB of text. Traced peaks: 54.5, 67.8 and 47.3 MB
-    # through the one C pass (the plain form adds math.log's list of
-    # floats), against 101.2, 94.0 and 124.7 MB with a list of every
-    # stripped line and a float() per line.
+    # 10^6 lines, 22 or 19 MB of text. Traced peaks: 54.5, 47.3 and 47.3 MB
+    # through the one C pass (67.8 MB for the plain form while math.log
+    # took a list of every value), against 101.2, 94.0 and 124.7 MB with
+    # a list of every stripped line and a float() per line.
     logs = generate_array("exp-decay:c=2", 999999)
     path = tmp_path / "seq.txt"
     if form == "log":

@@ -183,17 +183,19 @@ class TestVectorizedMatchesPerElement:
         if n_max <= 17:
             assert generate(spec, n_max) == oracle
 
-    def test_ex1_builds_in_place(self):
-        # The index array (8 MB at N = 10^6) and the result (8 MB) are
-        # the only full-length arrays: 16.1 MB traced, 33.0 MB when the
-        # signs were picked with np.where.
+    # At N = 10^6. ex1: the index array (8 MB) and the result (8 MB) are
+    # the only full-length arrays, 16.1 MB traced (33.0 MB when the signs
+    # were picked with np.where). linear: n + 1 is a third, 24.0 MB
+    # (48.0 MB while math.log took a list of n + 1's floats).
+    @pytest.mark.parametrize("spec, bound_mb", [("ex1", 20), ("linear", 28)])
+    def test_builds_in_bounded_memory(self, spec, bound_mb):
         tracemalloc.start()
         try:
-            generate_array("ex1", 999_999)
+            generate_array(spec, 999_999)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("spec", ["exp-decay:c=inf", "exp-decay:c=nan", "constant:c=inf"])
     def test_non_finite_logs_rejected_like_per_element(self, spec):

@@ -265,6 +265,18 @@ def test_component_report_holds_one_component_log_at_a_time():
     assert per_index < 30, f"traced peak {per_index:.1f} bytes per index"
 
 
+@pytest.mark.parametrize("means", [ifwa_means, ifwg_means], ids=lambda f: f.__name__)
+def test_ifn_means_take_each_log_into_its_output_row(means):
+    # 44 bytes per index at N = 10^5: the (2, N) means, each row holding
+    # its component's log, then S and the log-means of one component at a
+    # time. Both logs formed apart from the means read 60.
+    n = 10**5
+    rows = IFNRows(generate_array("ex4-ifn", n - 1))
+    w = WeightSequence.ones(n)
+    per_index = _traced_peak(lambda: means(rows, w)) / n
+    assert per_index < 46, f"traced peak {per_index:.1f} bytes per index"
+
+
 def test_extended_precision_lives_in_gmean_and_weights():
     # The precision rule of S and P has one home each, so that a portable
     # replacement for longdouble changes two modules.

@@ -6,11 +6,12 @@ BASE_SRC and NEW_SRC are the `src` directories of the two trees. A fixed
 list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
 file, both IFN modes and `--format csv`, `analyze --format csv` at
-50001 indices, `ifn-analyze --format csv` and `generate --out` of a real
-and an IFN sequence at 20001 indices, which the row writer splits across
-processes where two CPUs are usable, `--theta
-3` for `analyze` and `ifn-analyze --mode otimes`, IFN files on the
-simplex boundary in both modes, an IFN file that only the per-line
+50001 indices, of the plain-decimal file and of `linear` at 20001
+indices (the `log_u` column of every value that `math.log` takes),
+`ifn-analyze --format csv` and `generate --out` of a real and an IFN
+sequence at 20001 indices, which the row writer splits across processes
+where two CPUs are usable, `--theta 3` for `analyze` and `ifn-analyze
+--mode otimes`, IFN files on the simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
 a `log:` file and a plain file of the same kind (the `log:` header
 with trailing spaces, after blank lines), a plain file whose bad value
@@ -185,6 +186,14 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
              "--n-max", "50000", "--format", "csv", "--out", "long.csv", NO_TS],
             ["long.csv", "long.csv.json"],
         ))
+    # The log_u column of every log that math.log takes: a plain file's
+    # values and the linear generator's.
+    cases += [
+        (["analyze", "--in", "seq_plain.txt", "--format", "csv", "--out", "plain.csv", NO_TS],
+         ["plain.csv", "plain.csv.json"]),
+        (["analyze", "--generator", "linear", "--n-max", "20000", "--weights", "harmonic",
+          "--format", "csv", "--out", "lin.csv", NO_TS], ["lin.csv", "lin.csv.json"]),
+    ]
     cases += [
         (["ifn-analyze", "--generator", "ex3-ifn", "--n-max", "600", NO_TS], []),
         (["ifn-analyze", "--generator", "ex4-ifn", "--weights", "alternating:1,3",
