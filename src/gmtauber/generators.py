@@ -3,15 +3,15 @@
 Real sequences are written log-domain by default (header line ``log:``)
 so that blow-ups like exp(+-(n+1)) stay representable as text; fuzzy
 sequences are one ``mu,nu`` pair per line, and every line ends in LF.
-All generators produce indices 0..n_max inclusive. One reader,
-`_read_table`, parses real, IFN and weight files alike.
+All generators produce indices 0..n_max inclusive. One function,
+`_read_table`, reads and parses every real, IFN and weight file.
 """
 
 import io
 import math
 import warnings
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ LOG_HEADER = "log:"
 # Line breaks of str.splitlines() other than '\n' and '\r', which text
 # files read with universal newlines never hold.
 _SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAKS = "\n\r" + _SPLITLINES_ONLY_BREAKS
 
 
 class GeneratorError(ValueError):
@@ -209,42 +208,34 @@ def write_real_sequence(path: str | Path, seq: Sequence[LogReal] | np.ndarray) -
         write_sequence(f, as_logs(seq))
 
 
-def _after_log_header(text: str) -> int:
-    """The index just past a 'log:' header line (the first non-blank line,
-    stripped, ending at any str.splitlines() break); 0 where there is none."""
-    start = len(text) - len(text.lstrip())
-    if not text.startswith(LOG_HEADER, start):
-        return 0
-    for i in range(start + len(LOG_HEADER), len(text)):
-        if text[i] in _LINE_BREAKS:
-            return i + 1
-        if not text[i].isspace():
-            return 0
-    return len(text)
+def _header_lines(lines: Iterable[str]) -> int:
+    """The number of leading lines a 'log:' header takes: through the first
+    non-blank line if it is, stripped, 'log:', else 0."""
+    for i, ln in enumerate(lines, 1):
+        if ln.strip():
+            return i if ln.strip() == LOG_HEADER else 0
+    return 0
 
 
-def _real_logs(values: np.ndarray, plain: bool) -> np.ndarray:
-    """A real file's logs: its values after a 'log:' header, else their
-    math.log. The first bad value raises LogReal's or LogReal.of's error."""
-    ok = np.isfinite(values) & (values > 0) if plain else np.isfinite(values)
+def _real_logs(rows: np.ndarray, logged: bool) -> np.ndarray:
+    """A real file's logs from its (1, n) table: its values after a 'log:'
+    header, else their math.log. The first bad value raises LogReal's or
+    LogReal.of's error."""
+    ok = np.isfinite(rows) if logged else np.isfinite(rows) & (rows > 0)
     if not ok.all():  # the constructor raises its error for the first bad value
-        (LogReal.of if plain else LogReal)(values[np.argmin(ok)].item())
-    if not plain:
-        return values
-    return np.fromiter(map(math.log, values), np.float64, values.size)
+        (LogReal if logged else LogReal.of)(rows.flat[np.argmin(ok)].item())
+    if logged:
+        return rows[0]
+    return np.fromiter(map(math.log, rows[0]), np.float64, rows.size)
 
 
 def read_real_logs(path: str | Path) -> np.ndarray:
     """Read either plain positive decimals or log-domain values into a
     float64 log array."""
-    text = Path(path).read_text()
-    start = _after_log_header(text)
-    plain = start == 0
-    text = text[start:]  # rebound, so one copy of the values' text is alive
-    values = _read_table(text, 1, path, lambda rows: _real_logs(rows[0], plain))[0]
-    if values.size == 0:
-        raise ValueError(f"sequence file {path} {'is empty' if plain else 'has no values'}")
-    return _real_logs(values, plain)
+    rows, logged = _read_table(path, 1, _real_logs, header=True)
+    if rows.size == 0:
+        raise ValueError(f"sequence file {path} {'has no values' if logged else 'is empty'}")
+    return _real_logs(rows, logged)
 
 
 def read_real_sequence(path: str | Path) -> list[LogReal]:
@@ -263,31 +254,43 @@ def read_ifn_sequence(path: str | Path) -> IFNRows:
     normalized (2, N) rows. A malformed file raises the ValueError of its
     first bad line: a line that is not a pair of floats, or a pair that
     IFN() rejects."""
-    rows = _read_table(Path(path).read_text(), 2, path, simplex_rows)
+    rows, _ = _read_table(path, 2, lambda rows, _: simplex_rows(rows))
     if rows.shape[1] == 0:
         raise ValueError(f"sequence file {path} is empty")
     return IFNRows(simplex_rows(rows))
 
 
-def _read_table(text: str, ncols: int, path: str | Path, check=None) -> np.ndarray:
-    """The (ncols, n) float64 table of a sequence file's text, one row of
-    comma-separated floats per non-blank line (n = 0 where there is none).
+def _read_table(path: str | Path, ncols: int, check=None, header=False) -> tuple[np.ndarray, bool]:
+    """The (ncols, n) float64 table of a sequence file, one row of
+    comma-separated floats per non-blank line (n = 0 where there is none),
+    and whether a 'log:' header came first (looked for only if `header`).
     The first bad line raises float()'s error, or for ncols = 2 that of a
-    line that is not a 'mu,nu' pair, after check(the rows before it): an
-    earlier row's error comes first.
+    line that is not a 'mu,nu' pair, after check(the rows before it,
+    header found): an earlier row's error comes first.
 
-    One C pass (numpy's loadtxt) reads a text it takes whole, with no warning
-    (as on a text with no data), as n >= 1 rows of ncols floats: its
-    number syntax is a subset of float()'s, with the same values and
+    The bytes are read once, so a pipe reads as a file does, and decoded a
+    chunk at a time as open() decodes them. One C pass (numpy's loadtxt)
+    reads the lines after the header if it takes them whole, with no
+    warning (as on a text with no data), as n >= 1 rows of ncols floats:
+    its number syntax is a subset of float()'s, with the same values and
     whitespace stripping. Anything else, such as whitespace-only lines,
     '1_0' or non-ASCII digits, or a row of another width, goes line by line.
     """
+    f = io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()))
     # The C pass splits lines at '\n' alone and strips the other
-    # str.splitlines() breaks as whitespace: a text holding one goes line by line.
-    if not any(c in text for c in _SPLITLINES_ONLY_BREAKS):
-        # UTF-8 bytes, decoded in chunks as from a file: an io.StringIO of
-        # the text would hold 4 bytes per character (32 MB for a 7.9 MB file).
-        f = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    # str.splitlines() breaks as whitespace: a file holding one goes line by line.
+    try:
+        while chunk := f.read(1 << 16):  # 64 Ki characters a step
+            if any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
+                break
+    except UnicodeDecodeError:
+        f.buffer.getvalue().decode(f.encoding)  # the offset in the file, as read_text() gives
+        raise
+    if not chunk:  # the scan reached the end
+        f.seek(0)
+        skip = _header_lines(f) if header else 0
+        if not skip:
+            f.seek(0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -295,12 +298,14 @@ def _read_table(text: str, ncols: int, path: str | Path, check=None) -> np.ndarr
             except ValueError:
                 table = np.empty((0, 0))
         if not caught and table.shape[0] and table.shape[1] == ncols:
-            return table.T
-    lines = text.splitlines()
-    rows = np.empty((ncols, len(lines)))
+            return table.T, skip > 0
+    f.seek(0)
+    lines = f.read().splitlines()
+    skip = _header_lines(lines) if header else 0
+    rows = np.empty((ncols, len(lines) - skip))
     k = 0
-    for i, ln in enumerate(lines):
-        ln = ln.strip()
+    for i in range(skip, len(lines)):
+        ln = lines[i].strip()
         if not ln:
             continue
         fields = ln.split(",") if ncols > 1 else [ln]  # one column: the whole line to float()
@@ -310,7 +315,7 @@ def _read_table(text: str, ncols: int, path: str | Path, check=None) -> np.ndarr
             rows[:, k] = [float(x) for x in fields]
         except ValueError:
             if check is not None:
-                check(rows[:, :k])
+                check(rows[:, :k], skip > 0)
             raise
         k += 1
-    return rows[:, :k]
+    return rows[:, :k], skip > 0

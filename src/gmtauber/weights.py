@@ -113,7 +113,7 @@ class WeightSequence:
         """One decimal weight per line, through the sequence-file reader."""
         from .generators import _read_table  # generators imports this module through ifn
 
-        return cls(_read_table(Path(path).read_text(), 1, path)[0])
+        return cls(_read_table(path, 1)[0][0])
 
 
 def partial_sum(w: WeightSequence, n: int) -> float:

@@ -17,9 +17,11 @@ from gmtauber.cli import main
 from gmtauber.gmean import gbar_limit_estimate, weighted_geo_means
 from gmtauber.generators import (
     generate_array,
+    read_ifn_sequence,
     read_real_logs,
     write_ifn_sequence,
     write_real_sequence,
+    write_sequence,
 )
 from gmtauber.mcore import LogReal, MTolerance, TailWindow, star_converges_to
 from gmtauber.tauber import (
@@ -166,25 +168,31 @@ def test_generate_writes_one_chunk_at_a_time(tmp_path, spec, bound_mb):
     assert piped.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("form, bound_mb", [("log", 80), ("plain", 60), ("weights", 60)])
+@pytest.mark.parametrize(
+    "form, bound_mb", [("log", 40), ("plain", 36), ("weights", 36), ("ifn", 12)]
+)
 def test_reading_a_file_makes_no_str_per_line(tmp_path, form, bound_mb):
-    # 10^6 lines, 22 or 19 MB of text. Traced peaks: 54.5, 47.3 and 47.3 MB
-    # through the one C pass (67.8 MB for the plain form while math.log
-    # took a list of every value), against 101.2, 94.0 and 124.7 MB with
+    # 10^6 lines, 22 or 19 MB of text, or 2*10^5 IFN pairs, 5.4 MB. Traced
+    # peaks: 32.1, 28.5, 28.5 and 9.4 MB with the file's bytes held once
+    # and decoded a chunk at a time, against 54.5, 47.3, 47.3 and 14.8 MB
+    # with a str of the text and its re-encoded UTF-8 bytes alive for the
+    # C pass (67.8 MB for the plain form while math.log took a list of
+    # every value), and 101.2, 94.0 and 124.7 MB for the first three with
     # a list of every stripped line and a float() per line.
-    logs = generate_array("exp-decay:c=2", 999999)
+    spec, n_max = ("ex4-ifn", 199999) if form == "ifn" else ("exp-decay:c=2", 999999)
+    rows = generate_array(spec, n_max)
     path = tmp_path / "seq.txt"
-    if form == "log":
-        write_real_sequence(path, logs)
-    else:
-        with open(path, "wb") as f:
-            floatfmt.write_rows(f, (np.exp(logs),), index=False)
-    read = WeightSequence.from_file if form == "weights" else read_real_logs
+    with open(path, "wb") as f:
+        if form in ("log", "ifn"):
+            write_sequence(f, rows)  # a 'log:' header and logs, or 'mu,nu' pairs
+        else:
+            floatfmt.write_rows(f, (np.exp(rows),), index=False)
+    read = {"weights": WeightSequence.from_file, "ifn": read_ifn_sequence}.get(form, read_real_logs)
     tracemalloc.start()
     try:
         values = read(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(values) == logs.size
+    assert len(values) == rows.shape[-1]
     assert peak < bound_mb * 1e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -856,3 +856,27 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert load(out)["schema_version"] == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize(
+        "command, spec", [("analyze", "exp-decay:c=2"), ("ifn-analyze", "ex4-ifn")]
+    )
+    def test_a_pipe_reads_as_its_file(self, tmp_path, command, spec):
+        # A pipe cannot seek: the reader must take its bytes in one read.
+        seq, out = tmp_path / "seq.txt", tmp_path / "r.json"
+        assert run_cli("generate", "--generator", spec, "--n-max", "2000", "--out", str(seq)) == 0
+        assert run_cli(command, "--in", str(seq), "--no-timestamp", "--out", str(out)) == 0
+        from_file = load(out)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "gmtauber", command,
+                "--in", "/dev/stdin", "--no-timestamp", "--out", str(out),
+            ],
+            input=seq.read_bytes(),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        docs = [from_file, load(out)]
+        for doc in docs:  # each names its input
+            del doc["config"]["input"], doc["sequence"]["source"]
+        assert docs[0] == docs[1]

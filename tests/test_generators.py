@@ -247,6 +247,16 @@ class TestArrayReaderMatchesPerLine:
         expected = ("ValueError", f"sequence file {path} has no values")
         assert _oracle_outcome(path) == _array_outcome(path) == expected
 
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x80"], ids=["invalid-byte", "cut-at-end"])
+    def test_undecodable_bytes_report_their_offset_in_the_file(self, tmp_path, bad):
+        # Past the reader's first decoded chunk (64 Ki characters), where a
+        # chunk-relative offset would differ from Path.read_text()'s.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"log:\n" + b"1.0\n" * 50000 + bad)
+        expected = _oracle_outcome(path)
+        assert expected[0] == "ValueError" and "position 200005" in expected[1]
+        assert _array_outcome(path) == expected
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -145,8 +145,15 @@ class TestWeightSequence:
             "1,2\n",
             "1.0\n-1\nabc\n",
             "",
+            "log:\n1.0\n",
+            " log: \n2.0\n",
+            "1.0\r2.0\r",
+            "1.0\x0c2.0\n",
         ],
-        ids=["crlf-blank", "underscore", "nan", "negative", "pair", "bad-value-then-token", "empty"],
+        ids=[
+            "crlf-blank", "underscore", "nan", "negative", "pair", "bad-value-then-token", "empty",
+            "log-header", "spaced-log-header", "cr-only", "form-feed",
+        ],
     )
     def test_from_file_matches_per_line(self, tmp_path, text):
         f = tmp_path / "w.txt"

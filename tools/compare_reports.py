@@ -14,7 +14,9 @@ where two CPUs are usable, `--theta 3` for `analyze` and `ifn-analyze
 --mode otimes`, IFN files on the simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
 a `log:` file and a plain file of the same kind (the `log:` header
-with trailing spaces, after blank lines), a plain file whose bad value
+with trailing spaces, after blank lines), a `log:` file with CR-only
+line ends and blank lines before a header with trailing blanks, which
+the C pass reads after the header line, a plain file whose bad value
 comes before a bad token (exit 2), custom weights from a CRLF file with
 blank lines, two runs that skip lambdas: a lambda whose blocks are all empty in
 con1 and slow_osc_forward, and custom weights p_0 = 1 followed by zeros,
@@ -97,6 +99,8 @@ def _inputs(workdir: Path) -> None:
     (workdir / CRLF_WEIGHTS_FILE).write_bytes("".join(f"{w}\r\n" for w in weights).encode())
     (workdir / ZERO_WEIGHTS_FILE).write_text("1\n" + "0\n" * 1000)
     (workdir / EDGE_VALUES_FILE).write_text("log:\n" + "".join(f"{v}\n" for v in EDGE_VALUES) * 40)
+    cr_logs = ["", "  ", "log: \t"] + [repr(rng.uniform(-1.0, 1.0)) for _ in range(1500)]
+    (workdir / REAL_LOG_CR_FILE).write_bytes("".join(f"{ln}\r" for ln in cr_logs).encode())
 
 
 # IFN files on the edge of the simplex. "over": pairs with mu + nu in
@@ -114,6 +118,9 @@ IFN_PER_LINE_FILE = "ifn_per_line.txt"
 # header with trailing spaces.
 REAL_LOG_PER_LINE_FILE = "real_log_per_line.txt"
 REAL_PLAIN_PER_LINE_FILE = "real_plain_per_line.txt"
+# A 'log:' file with CR-only ends and blank lines before a header with
+# trailing blanks: the C pass takes its values after the header line.
+REAL_LOG_CR_FILE = "real_log_cr.txt"
 # A plain file whose first bad line is a value that LogReal.of() rejects.
 REAL_MALFORMED_FILE = "real_malformed.txt"
 # Custom weights with CRLF ends and a blank line every 150 weights.
@@ -224,6 +231,7 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
          ["e.csv", "e.csv.json"]),
         (["analyze", "--in", REAL_LOG_PER_LINE_FILE, "--weights", "harmonic", NO_TS], []),
         (["analyze", "--in", REAL_PLAIN_PER_LINE_FILE, "--tol", "1.5", NO_TS], []),
+        (["analyze", "--in", REAL_LOG_CR_FILE, NO_TS], []),
         (["analyze", "--in", REAL_MALFORMED_FILE, NO_TS], []),
         (["analyze", "--generator", "exp-decay:c=2", "--n-max", "1000",
           "--weights", f"custom:{CRLF_WEIGHTS_FILE}", NO_TS], []),
