@@ -7,11 +7,12 @@ All generators produce indices 0..n_max inclusive. One function,
 `_read_table`, reads and parses every real, IFN and weight file.
 """
 
+import array
 import io
 import math
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -274,19 +275,22 @@ def _read_table(path: str | Path, ncols: int, check=None, header=False) -> tuple
     warning (as on a text with no data), as n >= 1 rows of ncols floats:
     its number syntax is a subset of float()'s, with the same values and
     whitespace stripping. Anything else, such as whitespace-only lines,
-    '1_0' or non-ASCII digits, or a row of another width, goes line by line.
+    '1_0' or non-ASCII digits, or a row of another width, goes line by line:
+    one decoded line at a time, into one growing array of floats.
     """
     f = io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()))
     # The C pass splits lines at '\n' alone and strips the other
-    # str.splitlines() breaks as whitespace: a file holding one goes line by line.
+    # str.splitlines() breaks as whitespace: a file holding one goes line
+    # by line. The scan decodes the whole text, so that a decoding error
+    # comes before any line's.
+    plain = True
     try:
         while chunk := f.read(1 << 16):  # 64 Ki characters a step
-            if any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
-                break
+            plain = plain and not any(c in chunk for c in _SPLITLINES_ONLY_BREAKS)
     except UnicodeDecodeError:
         f.buffer.getvalue().decode(f.encoding)  # the offset in the file, as read_text() gives
         raise
-    if not chunk:  # the scan reached the end
+    if plain:
         f.seek(0)
         skip = _header_lines(f) if header else 0
         if not skip:
@@ -299,23 +303,34 @@ def _read_table(path: str | Path, ncols: int, check=None, header=False) -> tuple
                 table = np.empty((0, 0))
         if not caught and table.shape[0] and table.shape[1] == ncols:
             return table.T, skip > 0
-    f.seek(0)
-    lines = f.read().splitlines()
+    lines = _text_lines(f)
     skip = _header_lines(lines) if header else 0
-    rows = np.empty((ncols, len(lines) - skip))
-    k = 0
-    for i in range(skip, len(lines)):
-        ln = lines[i].strip()
+    if not skip:
+        lines = _text_lines(f)
+    values = array.array("d")
+    for i, ln in enumerate(lines, skip):
+        ln = ln.strip()
         if not ln:
             continue
         fields = ln.split(",") if ncols > 1 else [ln]  # one column: the whole line to float()
         try:
             if len(fields) != ncols:
                 raise ValueError(f"line {i + 1} of {path} is not a 'mu,nu' pair: {ln!r}")
-            rows[:, k] = [float(x) for x in fields]
+            values.extend([float(x) for x in fields])
         except ValueError:
             if check is not None:
-                check(rows[:, :k], skip > 0)
+                check(_columns(values, ncols), skip > 0)
             raise
-        k += 1
-    return rows[:, :k], skip > 0
+    return _columns(values, ncols), skip > 0
+
+
+def _text_lines(f: io.TextIOWrapper) -> Iterator[str]:
+    """The str.splitlines() lines of the text stream f from its start,
+    one at a time: the '\n' lines that f yields, split at the other breaks."""
+    f.seek(0)
+    return (ln for piece in f for ln in piece.splitlines())
+
+
+def _columns(values: array.array, ncols: int) -> np.ndarray:
+    """The (ncols, n) table of the row-major values, over their buffer."""
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, ncols).T

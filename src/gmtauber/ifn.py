@@ -8,14 +8,15 @@ mean transform from `gmean`, and the recovery conditions from `tauber`
 apply to the same real sequences, whose logs one component map forms:
 (1-mu_n, nu_n) for the additive mean, (mu_n, 1-nu_n) for the other.
 
-Bulk computations work on a sequence as one (2, N) float64 array of
-mu/nu rows (`as_rows`); `IFN` objects appear only at the API edges.
-Only the additive (oplus) half is written out: the multiplicative
-(otimes) half is its conjugate under the swap sigma(mu, nu) = (nu, mu),
-which exchanges addition with multiplication, scalar multiples with
-powers and the additive with the multiplicative sandwich, and reverses
-<_L. The floating-point operations are the same on both sides. Each rule
-(the oplus domain, <_L, addition, scalar multiples) is written once, on
+Bulk computations, the limit checks among them, work on a sequence as
+one (2, N) float64 array of mu/nu rows (`as_rows`); `IFN` objects
+appear only at the API edges. Only the additive (oplus) half is written
+out: the multiplicative (otimes) half is its conjugate under the swap
+sigma(mu, nu) = (nu, mu), which exchanges addition with multiplication,
+scalar multiples with powers and the additive with the multiplicative
+sandwich, and reverses <_L, with the same floating-point operations.
+Each rule (the oplus domain, <_L, the total order, addition, the
+quotient branch of subtraction, scalar multiples) is written once, on
 components, so that one function serves a scalar IFN and a (2, N) row
 block, and the swap is passing the components in the other order.
 """
@@ -249,24 +250,20 @@ def _window_rows(seq: Sequence[IFN], window: TailWindow | None) -> np.ndarray:
     return rows[:, window.start_index : window.end_index + 1]
 
 
-def total_order_cmp(a: IFN, b: IFN) -> int:
-    """Score-then-accuracy comparison; returns -1, 0 or +1.
-
-    Score and accuracy ties are decided within _SIMPLEX_TOL so that
-    decimals like 0.6 - 0.4 vs 0.5 - 0.3 compare as equal scores.
-    """
-    for d in (a.score - b.score, a.accuracy - b.accuracy):
-        if d < -_SIMPLEX_TOL:
-            return -1
-        if d > _SIMPLEX_TOL:
-            return 1
-    return 0
-
-
 # The rules below take components, floats or rows alike. The
 # multiplicative duals pass them swapped, (nu, mu), and build the IFN
 # from the pair swapped back, so that IFN()'s error shows the pair in
 # its own order.
+
+
+def _order(amu, anu, bmu, bnu):
+    """Score-then-accuracy comparison of a with b, -1, 0 or +1, with ties
+    within _SIMPLEX_TOL (0.6 - 0.4 and 0.5 - 0.3 are equal scores)."""
+    score, accuracy = (
+        (d > _SIMPLEX_TOL) * 1 - (d < -_SIMPLEX_TOL)
+        for d in ((amu - anu) - (bmu - bnu), (amu + anu) - (bmu + bnu))
+    )
+    return score + (score == 0) * accuracy
 
 
 def _lt_L(amu, anu, bmu, bnu):
@@ -282,6 +279,33 @@ def _oplus_domain(mu, nu):
 
 def _add_pair(amu, anu, bmu, bnu):
     return 1.0 - (1.0 - amu) * (1.0 - bmu), anu * bnu
+
+
+def _clamp(x, hi):
+    """min(max(x, 0.0), hi) as Python computes it: -0.0 stays."""
+    return np.where(x < 0.0, 0.0, np.where(hi < x, hi, x))
+
+
+def _quotient(amu, anu, bmu, bnu):
+    """The quotient branch of a - b against one pair b: whether a passes
+    its three guards, with boundary ties (within _SIMPLEX_TOL) passing,
+    and the quotient clamped onto the simplex, which is a - b where the
+    guards pass and a pair of a's shape that means nothing elsewhere."""
+    if not _oplus_domain(bmu, bnu):  # 1 - bmu or bnu is 0: no quotient
+        return False, amu, anu
+    tol = _SIMPLEX_TOL
+    ok = (amu >= bmu - tol) & (anu <= bnu + tol) & (
+        anu * (1.0 - bmu - bnu) <= (1.0 - amu - anu) * bnu + tol
+    )
+    mu = _clamp((amu - bmu) / (1.0 - bmu), 1.0)
+    with np.errstate(over="ignore"):  # a tiny bnu sends anu / bnu to inf, clamped
+        nu = _clamp(anu / bnu, 1.0 - mu)
+    return ok, mu, nu
+
+
+def total_order_cmp(a: IFN, b: IFN) -> int:
+    """Score-then-accuracy comparison; returns -1, 0 or +1 (see _order)."""
+    return _order(a.mu, a.nu, b.mu, b.nu)
 
 
 def partial_order_cmp(a: IFN, b: IFN) -> PartialOrder:
@@ -306,28 +330,10 @@ def multiply(a: IFN, b: IFN) -> IFN:
     return IFN(mu, nu)
 
 
-def _subtract_quotient(a: IFN, b: IFN) -> IFN | None:
-    """Quotient branch of a - b, or None when the guards fail.
-
-    Boundary ties (within _SIMPLEX_TOL) go to the quotient branch; the
-    result is projected back onto the simplex if it overshoots.
-    """
-    if not b.nu > 0:
-        return None
-    if a.mu < b.mu - _SIMPLEX_TOL or a.nu > b.nu + _SIMPLEX_TOL:
-        return None
-    if a.nu * b.hesitancy > a.hesitancy * b.nu + _SIMPLEX_TOL:
-        return None
-    # b.nu > 0 forces b.mu <= 1 - b.nu < 1, so the division is safe.
-    mu = min(max((a.mu - b.mu) / (1.0 - b.mu), 0.0), 1.0)
-    nu = min(max(a.nu / b.nu, 0.0), 1.0 - mu)
-    return IFN(mu, nu)
-
-
 def subtract(a: IFN, b: IFN) -> IFN:
-    """Guarded inverse of addition; falls back to (0, 1)."""
-    q = _subtract_quotient(a, b)
-    return ADD_IDENTITY if q is None else q
+    """Guarded inverse of addition: _quotient's branch, else (0, 1)."""
+    ok, mu, nu = _quotient(a.mu, a.nu, b.mu, b.nu)
+    return IFN(mu, nu) if ok else ADD_IDENTITY
 
 
 def _check_exponent(c: float, what: str) -> None:
@@ -363,23 +369,19 @@ def power(a: IFN, c: float) -> IFN:
     return IFN(mu, nu)
 
 
-def _region_quotient(a: IFN, xi: IFN) -> IFN | None:
-    """a - xi if a lies in the addition region of xi, else None: the
-    subtraction must go through the quotient branch and the
-    reconstruction xi + (a - xi) must reproduce a within _SIMPLEX_TOL."""
-    beta = _subtract_quotient(a, xi)
-    if beta is None:
-        return None
-    recon = add(xi, beta)
-    if abs(recon.mu - a.mu) <= _SIMPLEX_TOL and abs(recon.nu - a.nu) <= _SIMPLEX_TOL:
-        return beta
-    return None
+def _region(block: np.ndarray, xi: IFN) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each column a of `block` lies in the addition region of xi
+    (a - xi takes the quotient branch and xi + (a - xi) gives a back
+    within _SIMPLEX_TOL), and the normalized quotients a - xi."""
+    ok, *quotient = _quotient(*block, xi.mu, xi.nu)
+    beta = simplex_rows(np.stack(quotient))
+    recon = simplex_rows(np.stack(_add_pair(xi.mu, xi.nu, *beta)))
+    return ok & np.all(np.abs(recon - block) <= _SIMPLEX_TOL, axis=0), beta
 
 
 def in_addition_region(a: IFN, xi: IFN) -> bool:
-    """True iff a decomposes as xi + beta for some IFN beta (see
-    _region_quotient for the test)."""
-    return _region_quotient(a, xi) is not None
+    """True iff a decomposes as xi + beta for some IFN beta (see _region)."""
+    return bool(_region(np.array([[a.mu], [a.nu]]), xi)[0][0])
 
 
 def addition_limit_check(
@@ -394,11 +396,11 @@ def addition_limit_check(
     region of xi; otherwise HOLDS iff (a_n - xi) <_L (eps, 1-eps)
     throughout the window.
     """
-    quotients = [_region_quotient(a, xi) for a in IFNRows(_window_rows(seq, window))]
-    if any(q is None for q in quotients):
+    inside, beta = _region(_window_rows(seq, window), xi)
+    if not inside.all():
         return AdditionLimitOutcome.NOT_APPLICABLE
     bar_eps = eps.additive_form
-    if all(_lt_L(q.mu, q.nu, bar_eps.mu, bar_eps.nu) for q in quotients):
+    if np.all(_lt_L(*beta, bar_eps.mu, bar_eps.nu)):
         return AdditionLimitOutcome.HOLDS
     return AdditionLimitOutcome.FAILS
 
@@ -417,15 +419,12 @@ def zhangxu_limit_check(
     if eps.mu == 0.0 and eps.nu == 1.0:
         raise ValueError("eps must differ from (0, 1)")
     xi_plus = add(xi, eps)
-    for a in IFNRows(_window_rows(seq, window)):
-        c = total_order_cmp(a, xi)
-        if c > 0:
-            if not total_order_cmp(a, xi_plus) < 0:
-                return False
-        elif c < 0:
-            if not total_order_cmp(xi, add(a, eps)) < 0:
-                return False
-    return True
+    mu, nu = _window_rows(seq, window)
+    a_plus = simplex_rows(np.stack(_add_pair(mu, nu, eps.mu, eps.nu)))
+    c = _order(mu, nu, xi.mu, xi.nu)
+    above_fails = (c > 0) & (_order(mu, nu, xi_plus.mu, xi_plus.nu) >= 0)
+    below_fails = (c < 0) & (_order(xi.mu, xi.nu, *a_plus) >= 0)
+    return not np.any(above_fails | below_fails)
 
 
 _EPS_SAMPLES: tuple[IFN, ...] = (

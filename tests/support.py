@@ -4,8 +4,9 @@ slow-oscillation loop kept as the oracle for the vectorized one, the
 per-element sequence generators and per-line file readers (real, IFN
 and weights) kept as oracles for the array ones, the one-process CSV
 row loop kept as the oracle for the split writer in the CLI, and the
-object-level IFN means, checks, sandwiches and component report kept
-as oracles for the (2, N) row ones, and the full-length longdouble
+object-level IFN subtraction, limit checks, means, convergence checks,
+sandwiches and component report kept as oracles for the (2, N) row
+ones, and the full-length longdouble
 prefix-sum formulas kept as oracles for the in-place build in gmean."""
 
 import math
@@ -16,9 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from gmtauber.ifn import (
+    _EPS_SAMPLES,
     ADD_IDENTITY,
     MUL_IDENTITY,
     IFN,
+    AdditionLimitOutcome,
     EpsilonIFN,
     IFNTauberReport,
     PartialOrder,
@@ -366,6 +369,47 @@ def total_order_cmp_oracle(a: IFN, b: IFN, tie_tol: float = 1e-12) -> int:
     return 0
 
 
+def subtract_quotient_oracle(a: IFN, b: IFN) -> IFN | None:
+    """Quotient branch of a - b, or None when the guards fail.
+
+    Boundary ties (within 1e-12) go to the quotient branch; the result is
+    projected back onto the simplex if it overshoots.
+    """
+    # b.mu < 1 as well as b.nu > 0: a pair (1.0, nu) with nu below 2**-53
+    # passes b.nu > 0 alone, and the quotient then divides by 1 - b.mu = 0.
+    if not (b.mu < 1.0 and b.nu > 0):
+        return None
+    if a.mu < b.mu - 1e-12 or a.nu > b.nu + 1e-12:
+        return None
+    if a.nu * b.hesitancy > a.hesitancy * b.nu + 1e-12:
+        return None
+    mu = min(max((a.mu - b.mu) / (1.0 - b.mu), 0.0), 1.0)
+    nu = min(max(a.nu / b.nu, 0.0), 1.0 - mu)
+    return IFN(mu, nu)
+
+
+def subtract_oracle(a: IFN, b: IFN) -> IFN:
+    q = subtract_quotient_oracle(a, b)
+    return ADD_IDENTITY if q is None else q
+
+
+def region_quotient_oracle(a: IFN, xi: IFN) -> IFN | None:
+    """a - xi if a lies in the addition region of xi, else None: the
+    subtraction must go through the quotient branch and the
+    reconstruction xi + (a - xi) must reproduce a within 1e-12."""
+    beta = subtract_quotient_oracle(a, xi)
+    if beta is None:
+        return None
+    recon = add(xi, beta)
+    if abs(recon.mu - a.mu) <= 1e-12 and abs(recon.nu - a.nu) <= 1e-12:
+        return beta
+    return None
+
+
+def in_addition_region_oracle(a: IFN, xi: IFN) -> bool:
+    return region_quotient_oracle(a, xi) is not None
+
+
 def partial_order_cmp_oracle(a: IFN, b: IFN) -> PartialOrder:
     if a.mu == b.mu and a.nu == b.nu:
         return PartialOrder.EQUAL
@@ -403,6 +447,36 @@ def otimes_sandwich_oracle(seq, xi: IFN, eps: float, window=None) -> bool:
         if not (_lt_L(multiply_oracle(a, bar_eps), xi) and _lt_L(xi_times, a)):
             return False
     return True
+
+
+def addition_limit_check_oracle(seq, xi: IFN, eps: EpsilonIFN, window=None) -> AdditionLimitOutcome:
+    window = _window(seq, window)
+    quotients = [region_quotient_oracle(seq[n], xi) for n in window.indices()]
+    if any(q is None for q in quotients):
+        return AdditionLimitOutcome.NOT_APPLICABLE
+    if all(_lt_L(q, eps.additive_form) for q in quotients):
+        return AdditionLimitOutcome.HOLDS
+    return AdditionLimitOutcome.FAILS
+
+
+def zhangxu_limit_check_oracle(seq, xi: IFN, eps: IFN, window=None) -> bool:
+    if eps.mu == 0.0 and eps.nu == 1.0:
+        raise ValueError("eps must differ from (0, 1)")
+    xi_plus = add(xi, eps)
+    for n in _window(seq, window).indices():
+        a = seq[n]
+        c = total_order_cmp_oracle(a, xi)
+        if c > 0:
+            if not total_order_cmp_oracle(a, xi_plus) < 0:
+                return False
+        elif c < 0:
+            if not total_order_cmp_oracle(xi, add(a, eps)) < 0:
+                return False
+    return True
+
+
+def zhangxu_limit_check_sampled_oracle(seq, xi: IFN, window=None) -> bool:
+    return all(zhangxu_limit_check_oracle(seq, xi, eps, window) for eps in _EPS_SAMPLES)
 
 
 def _component_test(seq, xi: IFN, tol: float, window: TailWindow) -> bool:

@@ -169,7 +169,8 @@ def test_generate_writes_one_chunk_at_a_time(tmp_path, spec, bound_mb):
 
 
 @pytest.mark.parametrize(
-    "form, bound_mb", [("log", 40), ("plain", 36), ("weights", 36), ("ifn", 12)]
+    "form, bound_mb",
+    [("log", 40), ("plain", 36), ("weights", 36), ("ifn", 12), ("log-blank", 48)],
 )
 def test_reading_a_file_makes_no_str_per_line(tmp_path, form, bound_mb):
     # 10^6 lines, 22 or 19 MB of text, or 2*10^5 IFN pairs, 5.4 MB. Traced
@@ -178,12 +179,17 @@ def test_reading_a_file_makes_no_str_per_line(tmp_path, form, bound_mb):
     # with a str of the text and its re-encoded UTF-8 bytes alive for the
     # C pass (67.8 MB for the plain form while math.log took a list of
     # every value), and 101.2, 94.0 and 124.7 MB for the first three with
-    # a list of every stripped line and a float() per line.
+    # a list of every stripped line and a float() per line. A ' ' line
+    # after the 'log:' header sends the file to the per-line pass:
+    # 123.5 MB with a list of every line, 30.6 MB one line at a time.
     spec, n_max = ("ex4-ifn", 199999) if form == "ifn" else ("exp-decay:c=2", 999999)
     rows = generate_array(spec, n_max)
     path = tmp_path / "seq.txt"
     with open(path, "wb") as f:
-        if form in ("log", "ifn"):
+        if form == "log-blank":
+            f.write(b"log:\n \n")
+            floatfmt.write_rows(f, (rows,), index=False)
+        elif form in ("log", "ifn"):
             write_sequence(f, rows)  # a 'log:' header and logs, or 'mu,nu' pairs
         else:
             floatfmt.write_rows(f, (np.exp(rows),), index=False)

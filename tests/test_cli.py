@@ -443,6 +443,36 @@ class TestConfigErrors:
             "the weights' partial sums overflow from index 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("alternating:1", "alternating weights need a,b — got 'alternating:1'"),
+            ("custom:", "custom weights need a file: custom:<path>"),
+            ("custom:{short}", "weights file {short} provides 2 weights, sequence needs 101"),
+        ],
+    )
+    def test_weight_spec_messages(self, capsys, tmp_path, spec, message):
+        short = tmp_path / "w.txt"
+        short.write_text("1.0\n1.0\n")
+        spec, message = (x.format(short=short) for x in (spec, message))
+        assert run_cli(
+            "analyze", "--generator", "ex2", "--n-max", "100", "--weights", spec
+        ) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_custom_weights_of_ones_are_the_ones_family(self, tmp_path):
+        ones = tmp_path / "w.txt"
+        ones.write_text("1.0\n" * 101)
+        analyses = []
+        for spec in ("ones", f"custom:{ones}"):
+            out = tmp_path / "r.json"
+            assert run_cli(
+                "analyze", "--generator", "ex2", "--n-max", "100", "--weights", spec,
+                "--no-timestamp", "--out", str(out),
+            ) == 0
+            analyses.append(load(out)["analysis"])
+        assert analyses[0] == analyses[1]
+
     def test_window_must_fit(self):
         assert run_cli(
             "analyze", "--generator", "ex2", "--n-max", "100", "--window", "50:500"
@@ -702,6 +732,41 @@ class TestReportCommand:
         lines = curves_path.read_text().splitlines()
         assert lines[0] == "section,lambda,value"
         assert any(line.startswith("con1,") for line in lines[1:])
+
+    def test_ifn_summary_and_component_curves(self, tmp_path, capsys):
+        doc_path = tmp_path / "o.json"
+        assert run_cli(
+            "ifn-analyze", "--generator", "ex4-ifn", "--n-max", "200", "--mode", "otimes",
+            "--lambda-grid", "1.5,0.75", "--no-timestamp", "--out", str(doc_path),
+        ) == 0
+        capsys.readouterr()
+        curves_path = tmp_path / "curves.csv"
+        assert run_cli(
+            "report", "--in", str(doc_path), "--format", "csv", "--out", str(curves_path),
+        ) == 0
+        analysis = load(doc_path)["analysis"]
+        assert capsys.readouterr().out.splitlines() == [
+            "sequence: kind=ifn length=201 source=ex4-ifn",
+            "mode: otimes",
+            f"xi estimate: {analysis['xi_estimate']}",
+            "mean verdict: True",
+            "plain convergence: False",
+            "recovery: False",
+            "weights sva verdict: True",
+        ]
+        lines = curves_path.read_text().splitlines()
+        assert lines[0] == "section,lambda,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [
+            [f"{label}.{name}", lam]
+            for label in ("mu", "one_minus_nu")
+            for name, lam in (("con1", "1.5"), ("con2", "0.75"),
+                              ("slow_osc_backward", "0.75"), ("slow_osc_forward", "1.5"))
+        ]
+        components = analysis["tauber"]["components"]
+        for (section, lam, value) in rows:
+            label, name = section.split(".")
+            assert float(value) == components[label]["curves"][name][lam]
 
     def test_json_normalization(self, tmp_path):
         doc_path = tmp_path / "r.json"

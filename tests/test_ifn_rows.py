@@ -10,15 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gmtauber.generators import read_ifn_sequence
+from gmtauber import ifn
+from gmtauber.generators import generate_array, read_ifn_sequence
 from gmtauber.ifn import (
     IFN,
+    AdditionLimitOutcome,
     EpsilonIFN,
     IFNRows,
+    add,
     addition_limit_check,
     as_rows,
     gp_otimes_verdict,
     ifn_tauber_report,
+    in_addition_region,
     ifwa_means,
     ifwg_means,
     mean_verdict,
@@ -32,6 +36,7 @@ from gmtauber.ifn import (
     power,
     scalar_mul,
     simplex_rows,
+    subtract,
     total_order_cmp,
     zhangxu_limit_check,
     zhangxu_limit_check_sampled,
@@ -214,6 +219,129 @@ class TestOrders:
         for x, y in ((a, b), (b, a), (a, a)):
             assert total_order_cmp(x, y) == support.total_order_cmp_oracle(x, y)
             assert partial_order_cmp(x, y) == support.partial_order_cmp_oracle(x, y)
+
+
+class TestSubtraction:
+    @HYPOTHESIS
+    @given(pairs, pairs)
+    def test_matches_the_written_out_branch(self, p, q):
+        a, b = _ifns([p, q])
+        for x, y in ((a, b), (b, a), (a, a), (add(b, a), b)):
+            # repr shows -0.0, which a quotient of -0.0 keeps.
+            assert repr(subtract(x, y)) == repr(support.subtract_oracle(x, y))
+            assert in_addition_region(x, y) == support.in_addition_region_oracle(x, y)
+
+    def test_negative_zero_survives_the_clamp(self):
+        a, b = IFN(-0.0, 0.5), IFN(0.0, 0.6)
+        expected = "IFN(-0.0, 0.8333333333333334)"
+        assert repr(subtract(a, b)) == repr(support.subtract_oracle(a, b)) == expected
+
+
+# Limit candidates xi for the subtraction and total-order limit checks,
+# some with nu = 0, where no subtraction goes through the quotient branch.
+limits = st.one_of(pairs, unit.map(lambda m: (m, 0.0))).map(lambda p: IFN(*p))
+NEAR_ZERO_ONE = [1e-9, 1e-6, 1e-3]
+
+
+@st.composite
+def limit_windows(draw):
+    """A sequence near xi: within 4e-13 of it, or xi + beta_n for beta_n
+    from near (0, 1) to far from it, so that every outcome of the
+    subtraction-based check occurs; and a window, or None."""
+    xi = draw(limits)
+    length = draw(st.integers(1, 30))
+    unit_pairs = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+    jitter = draw(st.lists(unit_pairs, min_size=length, max_size=length))
+    scale = draw(st.sampled_from([4e-13] + NEAR_ZERO_ONE + [0.05, 0.5]))
+    if scale == 4e-13:
+        raw = [(xi.mu + scale * u, xi.nu + scale * v) for u, v in jitter]
+    else:
+        betas = [IFN(scale * abs(u), (1.0 - scale * abs(u)) * (1.0 - scale * abs(v)))
+                 for u, v in jitter]
+        raw = [(c.mu, c.nu) for c in (add(xi, b) for b in betas)]
+    start = draw(st.one_of(st.none(), st.integers(0, length - 1)))
+    return raw, xi, None if start is None else TailWindow(start, length - 1)
+
+
+class TestLimitNotionsMatchObjects:
+    """The subtraction-based and total-order limit checks on rows give the
+    per-element oracle's outcome on a list of IFN, an IFNRows view and raw
+    (2, N) rows."""
+
+    @staticmethod
+    def _same_as_oracle(raw, xi, eps, zx_eps, window):
+        objs, view = _inputs(raw)
+        checks = [
+            (addition_limit_check, support.addition_limit_check_oracle,
+             (xi, EpsilonIFN(eps), window)),
+            (zhangxu_limit_check, support.zhangxu_limit_check_oracle, (xi, zx_eps, window)),
+            (zhangxu_limit_check_sampled, support.zhangxu_limit_check_sampled_oracle,
+             (xi, window)),
+        ]
+        for fn, oracle, args in checks:
+            expected = _outcome(oracle, objs, *args)
+            for form in (objs, view, _rows(raw)):
+                assert _outcome(fn, form, *args) == expected
+
+    zx_eps = st.one_of(
+        st.sampled_from(NEAR_ZERO_ONE + [0.05, 0.3]).map(lambda e: IFN(e, 1.0 - e)),
+        st.sampled_from([IFN(0.02, 0.0), IFN(0.5, 0.2), IFN(0.0, 1.0)]),
+    )
+
+    @HYPOTHESIS
+    @given(settling_sequences(), limits, st.sampled_from(NEAR_ZERO_ONE + [0.3, 1.0]), zx_eps)
+    def test_settling_sequences(self, case, other, eps, zx_eps):
+        raw, xi, _, window = case
+        for limit in (xi, other):
+            self._same_as_oracle(raw, limit, eps, zx_eps, window)
+
+    @HYPOTHESIS
+    @given(limit_windows(), st.sampled_from(NEAR_ZERO_ONE + [0.02, 0.3, 1.0]), zx_eps)
+    def test_sequences_near_the_limit(self, case, eps, zx_eps):
+        raw, xi, window = case
+        self._same_as_oracle(raw, xi, eps, zx_eps, window)
+
+    def test_a_limit_on_the_mu_edge_has_no_quotient(self):
+        # (1.0, 5e-324) has nu > 0 but 1 - mu = 0: the quotient would
+        # divide by zero, so no element lies in its addition region.
+        a, xi = IFN(1.0, 0.0), IFN(1.0, 5e-324)
+        assert subtract(a, xi) == support.subtract_oracle(a, xi) == IFN(0.0, 1.0)
+        assert not in_addition_region(a, xi)
+        out = addition_limit_check([a] * 4, xi, EpsilonIFN(0.5))
+        assert out is AdditionLimitOutcome.NOT_APPLICABLE
+
+    def test_no_object_per_element(self, monkeypatch):
+        counts = {"_box": 0, "IFN": 0}
+        box, post_init = ifn._box, IFN.__post_init__
+
+        def counted_box(mu, nu):
+            counts["_box"] += 1
+            return box(mu, nu)
+
+        def counted_post_init(self):
+            counts["IFN"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(ifn, "_box", counted_box)
+        monkeypatch.setattr(IFN, "__post_init__", counted_post_init)
+
+        def run(length: int) -> dict[str, int]:
+            # Windows on which every check holds, so that each reads all
+            # of it: xi + beta_n with beta_n -> (0, 1), every element in
+            # the addition region, and the drift of `nonunique`.
+            n = np.arange(length, dtype=np.float64)
+            beta = np.stack([0.2 / (n + 50.0), 1.0 - 0.3 / (n + 50.0)])
+            xi = IFN(0.4, 0.3)
+            seq = IFNRows(simplex_rows(np.stack(ifn._add_pair(xi.mu, xi.nu, *beta))))
+            drift, limit = IFNRows(generate_array("nonunique", length - 1)), IFN(0.5, 1.0 / 3.0)
+            counts.update(_box=0, IFN=0)
+            assert addition_limit_check(seq, xi, EpsilonIFN(0.01)) is AdditionLimitOutcome.HOLDS
+            assert zhangxu_limit_check(drift, limit, IFN(1e-3, 1.0 - 1e-3))
+            assert zhangxu_limit_check_sampled(drift, limit)
+            return dict(counts)
+
+        few, many = run(20), run(20000)  # windows of 10 and 10^4 elements
+        assert few == many, (few, many)
 
 
 # Pairs next to a vertex of the simplex, where the closed forms round

@@ -77,6 +77,8 @@ class TestTailWindow:
         win = TailWindow.last_half(10)
         assert (win.start_index, win.end_index) == (5, 9)
         assert TailWindow.last_half(1).indices() == range(0, 1)
+        with pytest.raises(ValueError, match="^cannot take a window of an empty sequence$"):
+            TailWindow.last_half(0)
 
     def test_check_fits(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,12 @@ class TestSlowOscillation:
 
 
 class TestConditionEstimates:
+    def test_side_must_be_one_or_two(self):
+        with pytest.raises(ValueError, match="^side must be 1 or 2$"):
+            tauber_condition_curve(
+                [L(2.0)] * 30, WeightSequence.ones(30), LambdaGrid.of([1.5]), TailWindow(2, 10), side=3
+            )
+
     def test_constant_sequence_is_exactly_one(self):
         u = [L(2.0)] * 300
         w = WeightSequence.ones(300)
@@ -444,6 +450,10 @@ class TestLemmaHierarchy:
 
 
 class TestRecoverabilityReport:
+    def test_theta_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^theta must be >= 1, got 0\.5$"):
+            ReportThresholds(theta=0.5)
+
     def test_constant_all_pass(self):
         u = [L(3.0)] * 400
         rep = recoverability_report(u, WeightSequence.ones(400))
