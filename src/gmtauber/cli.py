@@ -27,8 +27,8 @@ from .weights import (
     sva_plus_estimate,
     usable_end,
 )
-from .gmean import gbar_verdict, transform_log_values
-from .tauber import ReportThresholds, TauberReport, recoverability_report
+from .gmean import _log_means, _prefix_gbar_verdict, _prefix_sums
+from .tauber import ReportThresholds, TauberReport, _prefix_fields, _report
 from .ifn import (
     IFNRows,
     ifn_tauber_report,
@@ -266,7 +266,7 @@ def _windows_for(
 @dataclass
 class RunResult:
     doc: dict
-    columns: tuple[np.ndarray, ...]  # per-index CSV columns after n
+    columns: tuple[np.ndarray, ...]  # per-index columns after n, for --format csv
     header: tuple[str, ...]
 
 
@@ -281,10 +281,17 @@ def _inputs(args: argparse.Namespace, kind: str) -> tuple:
 def run_real(args: argparse.Namespace) -> RunResult:
     x, source, grid, w, verdict_window, tauber_window = _inputs(args, "real")
     tol = MTolerance(args.tol)
-    means = transform_log_values(x, w)
-    gbar = gbar_verdict(means, tol, verdict_window)
+    # One S serves the verdict, the means and the report, and is dropped
+    # before the report's slow-oscillation curves. Only the CSV reads
+    # every log-mean; the document reads the verdict window's and the
+    # last 10.
+    S, P = _prefix_sums(x, w), w.P[: x.size]
+    gbar = _prefix_gbar_verdict(S, P, tol, verdict_window)
+    means = _log_means(S, P) if args.format == "csv" else _log_means(S[-10:], P[-10:])
+    prefix_fields = _prefix_fields(x, S, P, grid, tauber_window, tol)
+    del S
     thresholds = ReportThresholds(theta=args.theta, gbar_tol=tol)
-    tauber = recoverability_report(x, w, grid, tauber_window, thresholds)
+    tauber = _report(x, *prefix_fields, grid, tauber_window, thresholds)
     sva = sva_plus_estimate(w, grid, tauber_window)
 
     doc = _base_document(args, "real", x.size, source)

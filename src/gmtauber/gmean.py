@@ -111,25 +111,55 @@ def _block_means(
     return numer[valid] / dP[valid]
 
 
+def _core_reduce(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, op: np.ufunc
+) -> np.ndarray:
+    """op.reduce(values[lo[i] : hi[i] + 1]) for every i, when lo and hi
+    never decrease and every range holds the core [lo[-1], hi[0]].
+
+    Range i is its left part [lo[i], lo[-1]), the core and its right part
+    (hi[0], hi[i]]: one op.reduce over the core, then a reversed
+    op.accumulate leftwards from it and a forward one rightwards, each
+    seeded with the core's value, so one lookup per side answers range i.
+    Time O(hi[-1] - lo[0]), extra memory O(lo[-1] - lo[0] + hi[-1] - hi[0]).
+    op must be max or min, which are exact in any order.
+    """
+    first, a, b, last = int(lo[0]), int(lo[-1]), int(hi[0]), int(hi[-1])
+    core = op.reduce(values[a : b + 1])
+    left = np.empty(a - first + 1, dtype=values.dtype)
+    left[0] = core
+    left[1:] = values[first:a][::-1]
+    right = np.empty(last - b + 1, dtype=values.dtype)
+    right[0] = core
+    right[1:] = values[b + 1 : last + 1]
+    op.accumulate(left, out=left)
+    op.accumulate(right, out=right)
+    return op(left[a - lo], right[hi - b])
+
+
 def _block_deviations(
     x: np.ndarray, ns: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """max_{lo < m <= hi} |x_m - x_n| at the non-empty blocks (lo, hi] of
-    weights._lambda_blocks, for tauber's slow-oscillation curves: range
-    queries (_range_reduce) over the span the blocks cover, in
-    O(S log B + W) for S indices, blocks of at most B and W blocks."""
+    weights._lambda_blocks, for tauber's slow-oscillation curves. Blocks
+    that all share one index take their extrema from that shared core
+    (_core_reduce), in O(B + L) for blocks of at most B and L indices left
+    and right of the core; other blocks from range queries (_range_reduce)
+    over the span the blocks cover, in O(S log B + W) for S indices and
+    W blocks."""
     keep = hi > lo
     if not keep.any():
         return x[:0]
     xn, lo, hi = x[ns[keep]], lo[keep] + 1, hi[keep]
-    base = int(lo[0])  # floor(fl(lambda * n)) never decreases in n
-    span = x[base : int(hi[-1]) + 1]
-    lo -= base
-    hi -= base
-    return np.maximum(
-        _range_reduce(span, lo, hi, np.maximum) - xn,
-        xn - _range_reduce(span, lo, hi, np.minimum),
-    )
+    if lo[-1] <= hi[0]:
+        top, bottom = (_core_reduce(x, lo, hi, op) for op in (np.maximum, np.minimum))
+    else:
+        base = int(lo[0])  # floor(fl(lambda * n)) never decreases in n
+        span = x[base : int(hi[-1]) + 1]
+        lo -= base
+        hi -= base
+        top, bottom = (_range_reduce(span, lo, hi, op) for op in (np.maximum, np.minimum))
+    return np.maximum(top - xn, xn - bottom)
 
 
 def transform_log_values(log_u: np.ndarray, w: WeightSequence) -> np.ndarray:

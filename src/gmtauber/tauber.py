@@ -227,27 +227,56 @@ def recoverability_report(
     last half of the usable index range); an explicit window is used as
     given and must satisfy the bounds itself.
 
-    The prefix sums S (gmean._prefix_sums) are built once and shared by
-    the mean verdict, which divides only the window's log-means, and
-    both condition curves; S is dropped before the slow-oscillation
-    curves, whose window transient is the report's other large one.
+    The prefix sums S (gmean._prefix_sums) are built here and shared by
+    the report's fields that read them (_prefix_fields); S is dropped
+    before the rest of the report (_report), whose slow-oscillation
+    curves hold its other large transient. `gmt analyze` builds its S
+    itself, once per run, and shares it with its own mean verdict and
+    means before it calls the same two functions.
     """
     x = as_logs(u)
     grid, window = _grid_and_window(x.size, grid, window)
     if thresholds is None:
         thresholds = ReportThresholds()
+    S = _prefix_sums(x, w)
+    gbar, con = _prefix_fields(x, S, w.P[: x.size], grid, window, thresholds.gbar_tol)
+    del S
+    return _report(x, gbar, con, grid, window, thresholds)
 
+
+def _prefix_fields(
+    x: np.ndarray,
+    S: np.ndarray,
+    P: np.ndarray,
+    grid: LambdaGrid,
+    window: TailWindow,
+    tol: MTolerance,
+) -> tuple[Verdict, dict[str, dict[float, float]]]:
+    """The report's fields that read the prefix sums S and P of the logs
+    x: its mean verdict, which divides only the window's log-means, and
+    the con1 and con2 curves."""
+    gbar = _prefix_gbar_verdict(S, P, tol, window)
+    means = partial(_block_means, x, S, P)
+    sides = {"con1": grid.above_one, "con2": grid.below_one}
+    return gbar, {
+        name: _curve(means, _lambda_blocks(lambdas, window, x.size))
+        for name, lambdas in sides.items()
+    }
+
+
+def _report(
+    x: np.ndarray,
+    gbar: Verdict,
+    con: dict[str, dict[float, float]],
+    grid: LambdaGrid,
+    window: TailWindow,
+    thresholds: ReportThresholds,
+) -> TauberReport:
+    """recoverability_report on the logs x from its _prefix_fields: adds
+    the slow-oscillation curves and the Landau diagnostics."""
     up, down = grid.above_one, grid.below_one
     branch = {"con1": up, "con2": down, "slow_osc_forward": up, "slow_osc_backward": down}
-    S, P = _prefix_sums(x, w), w.P[: x.size]
-    gbar = _prefix_gbar_verdict(S, P, thresholds.gbar_tol, window)
-
-    means = partial(_block_means, x, S, P)
-    curves = {
-        name: _curve(means, _lambda_blocks(branch[name], window, x.size))
-        for name in ("con1", "con2")
-    }
-    del S, means
+    curves = dict(con)
     curves["slow_osc_forward"] = slow_oscillation_curve(x, grid, window, backward=False)
     curves["slow_osc_backward"] = slow_oscillation_curve(x, grid, window, backward=True)
     est = {name: min(curve.values(), default=math.inf) for name, curve in curves.items()}

@@ -203,7 +203,7 @@ def test_each_consumer_builds_once_per_sequence(builds):
     "argv, consumers, n_builds",
     [
         (["analyze", "--generator", "ex1", "--weights", "harmonic", "--n-max", "3000"],
-         ["transform_log_values", "recoverability_report"], 2),
+         [], 1),
         (["ifn-analyze", "--generator", "ex4-ifn", "--n-max", "2000", "--mode", "oplus"],
          ["ifwa_means", "ifn_tauber_report"], 4),
         (["ifn-analyze", "--generator", "ex4-ifn", "--n-max", "2000", "--mode", "otimes"],
@@ -211,8 +211,10 @@ def test_each_consumer_builds_once_per_sequence(builds):
     ],
 )
 def test_cli_reaches_the_public_consumers(monkeypatch, builds, argv, consumers, n_builds):
-    # The CLI takes its means and reports from the public functions,
-    # the names perfbench/trace_child.py times each layer by.
+    # `ifn-analyze` takes its means and reports from the public
+    # functions, the names perfbench/trace_child.py times each layer by.
+    # `analyze` builds one S and shares it between its mean verdict, its
+    # means and its report, so it calls neither public consumer.
     counters = [_Counter(monkeypatch, getattr(gmtauber.cli, name)) for name in consumers]
     with redirect_stdout(io.StringIO()):
         assert main(argv + ["--no-timestamp"]) == 0
@@ -289,18 +291,21 @@ def test_extended_precision_lives_in_gmean_and_weights():
     "argv, bound",
     [
         # 51 bytes per index (88 before the in-place S).
-        (["analyze", "--generator", "ex1", "--weights", "harmonic", "--window", "40000:40999"],
-         60),
+        (["analyze", "--generator", "ex1", "--weights", "harmonic", "--window", "40000:40999",
+          "--format", "csv"], 60),
         # 78 bytes per index, in the otimes means (90 before the in-place
         # means, 122 before the in-place S); the component report peaks at
         # 75 (83 while it built both component logs up front).
         (["ifn-analyze", "--generator", "ex4-ifn", "--mode", "otimes",
-          "--lambda-grid", "0.99,1.01", "--window", "90000:90999"], 100),
+          "--lambda-grid", "0.99,1.01", "--window", "90000:90999", "--format", "csv"], 100),
+        # 42 bytes per index: the logs, p, P and one S, with no full-length
+        # means (51 while the mean transform built its own S and means).
+        (["analyze", "--generator", "ex1", "--weights", "harmonic", "--window", "40000:40999",
+          "--format", "json"], 46),
     ],
 )
 def test_run_memory_per_index(tmp_path, argv, bound):
     n = 10**5
-    argv = argv + ["--n-max", str(n - 1), "--format", "csv", "--out", str(tmp_path / "r.csv"),
-                   "--no-timestamp"]
+    argv = argv + ["--n-max", str(n - 1), "--out", str(tmp_path / "r"), "--no-timestamp"]
     peak = _traced_peak(lambda: main(argv))
     assert peak < bound * n, f"traced peak {peak / n:.1f} bytes per index"

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gmtauber.mcore import LogReal, MTolerance, TailWindow
 from gmtauber.weights import (
@@ -24,7 +24,7 @@ from gmtauber.tauber import (
     tauber_condition_curve,
 )
 from gmtauber.generators import generate, generate_array
-from gmtauber.gmean import _range_reduce
+from gmtauber.gmean import _core_reduce, _range_reduce
 from gmtauber.weights import _lambda_blocks
 
 from support import slow_oscillation_curve_oracle
@@ -156,6 +156,129 @@ class TestSlowOscillationOracle:
             return
         got = slow_oscillation_curve(u, grid, window, backward=backward)
         assert list(got.items()) == list(expect.items())
+
+
+def _paths(grid: LambdaGrid, window: TailWindow, length: int) -> dict[float, str]:
+    """How _block_deviations takes each lambda's extrema: "core" when its
+    non-empty blocks [lo + 1, hi] all hold index hi[0], "table" for the
+    sparse table, "empty" when every block is empty. A core path's name
+    adds "-left"/"-right" for an empty edge beside the core, "-one" for a
+    core of one index and "-dropped" when empty blocks were skipped."""
+    paths = {}
+    for lam, _, lo, hi in _lambda_blocks(grid.values, window, length):
+        keep = hi > lo
+        if not keep.any():
+            paths[lam] = "empty"
+            continue
+        first, last = lo[keep] + 1, hi[keep]
+        if first[-1] > last[0]:
+            paths[lam] = "table"
+            continue
+        paths[lam] = "core" + "".join(
+            tag
+            for tag, holds in (
+                ("-left", first[-1] == first[0]),
+                ("-right", last[-1] == last[0]),
+                ("-one", first[-1] == last[0]),
+                ("-dropped", not keep.all()),
+            )
+            if holds
+        )
+    return paths
+
+
+def _hex_curve(curve: dict[float, float]) -> list[tuple[float, str]]:
+    return [(lam, value.hex()) for lam, value in curve.items()]
+
+
+def _assert_curves_match_oracle(logs: np.ndarray, grid: LambdaGrid, window: TailWindow):
+    # Each core path's block extrema equal the sparse table's, which the
+    # curves alone would not show where a wrong extremum is not the max.
+    for lam, _, lo, hi in _lambda_blocks(grid.values, window, logs.size):
+        keep = hi > lo
+        lo, hi = lo[keep] + 1, hi[keep]
+        if lo.size and lo[-1] <= hi[0]:
+            for op in (np.maximum, np.minimum):
+                core = _core_reduce(logs, lo, hi, op)
+                assert core.tobytes() == _range_reduce(logs, lo, hi, op).tobytes(), lam
+    u = [LogReal.from_log(float(v)) for v in logs]
+    for backward in (False, True):
+        expect = slow_oscillation_curve_oracle(u, grid, window, backward=backward)
+        got = slow_oscillation_curve(logs, grid, window, backward=backward)
+        assert _hex_curve(got) == _hex_curve(expect)
+
+
+@st.composite
+def core_cases(draw):
+    """A lambda, a window narrow enough that all of that lambda's
+    non-empty blocks share one index, other lambdas drawn as in
+    slow_osc_cases, and a sequence long enough for the grid."""
+    backward = draw(st.booleans())
+    if backward:
+        lam = draw(_lambdas_below)
+    else:
+        lam = draw(st.one_of(_near_one.map(lambda d: 1.0 + d), st.floats(1.0 + 2.0**-12, 3.0)))
+    start = draw(st.integers(0, 3000))
+    ns = np.arange(start, start + 5000, dtype=np.int64)
+    lns = np.floor(lam * ns).astype(np.int64)
+    lo, hi = (lns, ns) if backward else (ns, lns)
+    kept = np.flatnonzero(hi > lo)
+    assume(kept.size)  # lambda * n rounds to n for a lambda within ulps of 1
+    first = int(kept[0])
+    # lo never decreases, so the blocks up to n share index hi[first]
+    # while lo[n] + 1 <= hi[first].
+    widest = min(int(np.searchsorted(lo, hi[first], side="left")) - 1, first + 400)
+    end = start + draw(st.integers(first, widest))
+    others = draw(st.lists(st.one_of(_lambdas_below, _lambdas_above), max_size=3))
+    grid = LambdaGrid.of(sorted({lam, *others}))
+    length = max(end, math.floor(grid.max_lambda * end)) + 1 + draw(st.integers(0, 50))
+    kind = draw(st.sampled_from(["small-int", "monotone", "walk", "saturating"]))
+    logs = _log_values(kind, length, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return lam, logs, grid, TailWindow(start, end)
+
+
+class TestSlowOscillationCore:
+    """Blocks that share one index take their extrema from that core
+    (gmean._core_reduce); the curves match the per-n oracle bit for bit,
+    on the core path alone and beside lambdas on the sparse table."""
+
+    @given(core_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_identical_to_per_n_loop(self, case):
+        lam, logs, grid, window = case
+        assert _paths(grid, window, logs.size)[lam].startswith("core")
+        _assert_curves_match_oracle(logs, grid, window)
+
+    @pytest.mark.parametrize(
+        "lambdas, window, paths",
+        [
+            # W = 1: both edges beside the core are empty.
+            ((1.5, 0.5), (10, 10), {1.5: "core-left-right", 0.5: "core-left-right"}),
+            # A core of one index, with both edges non-empty.
+            ((2.0,), (50, 99), {2.0: "core-one"}),
+            ((0.5,), (51, 101), {0.5: "core-one"}),
+            # floor(0.1 n) is 10 across the window: an empty left edge.
+            ((0.1,), (100, 109), {0.1: "core-left"}),
+            # Blocks (n, floor(1.1 n)] are empty up to n = 9, and
+            # (floor(n / 4), n] at n = 0.
+            ((1.1,), (0, 10), {1.1: "core-left-right-one-dropped"}),
+            ((0.25,), (0, 3), {0.25: "core-left-one-dropped"}),
+            # One index wider than a core of one index: no shared index.
+            ((0.5, 2.0), (51, 102), {0.5: "table", 2.0: "table"}),
+            # One grid, both paths on both branches.
+            ((0.5, 0.99, 1.01, 2.0), (5000, 5099),
+             {0.5: "core", 0.99: "table", 1.01: "table", 2.0: "core"}),
+        ],
+    )
+    def test_named_cases(self, lambdas, window, paths):
+        grid, window = LambdaGrid.of(lambdas), TailWindow(*window)
+        end = window.end_index
+        length = max(end, math.floor(grid.max_lambda * end)) + 1
+        assert _paths(grid, window, length) == paths
+        for kind in ("small-int", "walk", "saturating"):
+            _assert_curves_match_oracle(
+                _log_values(kind, length, np.random.default_rng(7)), grid, window
+            )
 
 
 @st.composite

@@ -7,7 +7,10 @@ list of small `gmt` commands (every generator through `generate` and
 `analyze`/`ifn-analyze`, a `log:` file, a plain-decimal file, an IFN
 file, both IFN modes and `--format csv`, `analyze --format csv` at
 50001 indices, of the plain-decimal file and of `linear` at 20001
-indices (the `log_u` column of every value that `math.log` takes),
+indices (the `log_u` column of every value that `math.log` takes), of
+`ex1` at 20001 indices with a narrow `--window` (every log-mean from the
+one shared `S`), a narrow window with `--lambda-grid 0.5,0.75` (backward
+blocks that share one index),
 `ifn-analyze --format csv` and `generate --out` of a real and an IFN
 sequence at 20001 indices, which the row writer splits across processes
 where two CPUs are usable, `--theta 3` for `analyze` and `ifn-analyze
@@ -200,6 +203,14 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
          ["plain.csv", "plain.csv.json"]),
         (["analyze", "--generator", "linear", "--n-max", "20000", "--weights", "harmonic",
           "--format", "csv", "--out", "lin.csv", NO_TS], ["lin.csv", "lin.csv.json"]),
+        # Every log-mean of the CSV, from the S that the narrow window's
+        # verdict and report share.
+        (["analyze", "--generator", "ex1", "--weights", "harmonic", "--n-max", "20000",
+          "--window", "8000:8255", "--format", "csv", "--out", "narrow.csv", NO_TS],
+         ["narrow.csv", "narrow.csv.json"]),
+        # Backward blocks that all share one index (the core path).
+        (["analyze", "--generator", "exp-decay:c=2", "--n-max", "5000", "--lambda-grid",
+          "0.5,0.75", "--window", "3000:3099", NO_TS], []),
     ]
     cases += [
         (["ifn-analyze", "--generator", "ex3-ifn", "--n-max", "600", NO_TS], []),
