@@ -18,10 +18,14 @@ def run() -> int:
     from .cli import main
 
     try:
-        return main()
+        code = main()
     except BrokenPipeError:  # stdout's reader left early, as in `gmt generate | head`
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
-        return 0
+        code = 0
+    try:  # main flushes each write to stdout, so bytes are left only where one failed
+        sys.stdout.flush()
+    except OSError:  # which main has reported: the exit flush must not retry them
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@ deterministic report emission.
 
 Subcommands: generate, analyze, ifn-analyze, report. Exit codes: 0 on
 success, 2 on configuration errors (unknown generator, bad flags or
-files, a length no memory holds), 3 on numerical precondition failures
-inside a pipeline. Every float table goes out through floatfmt.write_rows.
+files, a length no memory holds) and failed writes to --out or stdout,
+3 on numerical precondition failures inside a pipeline. Every float
+table goes out through floatfmt.write_rows.
 """
 
 import argparse
@@ -363,22 +364,29 @@ def _check_out(path: str) -> None:
 
 
 @contextlib.contextmanager
-def _writing(path: Path | str):
-    """Report an OSError while writing `path` as a ConfigError naming --out."""
+def _writing(path: Path | str | None):
+    """Report an OSError while writing `path` for --out, or stdout where path
+    is None (flushed here; a BrokenPipeError, its reader leaving early, goes
+    through to the `gmt` entry), as a ConfigError naming what failed."""
     try:
         yield
+        if path is None:
+            sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {path} for --out: {exc}") from None
+        if path is None and isinstance(exc, BrokenPipeError):
+            raise
+        where = "stdout" if path is None else f"{path} for --out"
+        raise ConfigError(f"cannot write {where}: {exc}") from None
 
 
 def _emit(result: RunResult, args: argparse.Namespace) -> None:
     text = dumps_document(result.doc)
     if args.format == "json":
-        if args.out:
-            with _writing(args.out):
+        with _writing(args.out):
+            if args.out:
                 Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+            else:
+                sys.stdout.write(text)
         return
     # csv (main has checked --out): per-index rows plus a sidecar JSON
     from . import floatfmt  # compiled on first use: runs that print no floats skip it
@@ -400,12 +408,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     n_max = _n_max_or_default(args.n_max, kind)
     values = generators.generate_array(args.generator, n_max)
     if args.out is None and hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()  # what the text layer holds goes out first
-        generators.write_sequence(sys.stdout.buffer, values)
+        with _writing(None):
+            sys.stdout.flush()  # what the text layer holds goes out first
+            generators.write_sequence(sys.stdout.buffer, values)
     elif args.out is None:  # a text stream with no .buffer, such as io.StringIO
         buf = io.BytesIO()
         generators.write_sequence(buf, values)
-        sys.stdout.write(buf.getvalue().decode("ascii"))
+        with _writing(None):
+            sys.stdout.write(buf.getvalue().decode("ascii"))
     else:
         with _writing(args.out), open(args.out, "wb") as f:
             generators.write_sequence(f, values)
@@ -488,8 +498,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"report {args.infile} lacks the key {exc.args[0]!r}") from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise ConfigError(f"report {args.infile} is malformed: {exc}") from None
-    for line in lines:
-        print(line)
+    with _writing(None):
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text(text)

@@ -1,27 +1,25 @@
-"""The row writer of `gmt --format csv` and of sequence files: split
-across forked children on chunk boundaries, it writes the bytes of the
-one-process loop kept in `support`, leaves no child process or temporary
-file behind, and turns a child's failure into an error in the caller."""
+"""The row writer of `gmt --format csv` and of sequence files: one block
+of rows at a time in one process, it writes the bytes of the per-value
+loop kept in `support` at every block boundary, for any number of
+columns and for strided column views; it starts no process and makes no
+temporary file, and its memory is one block's, not the table's."""
 
 import os
-import subprocess
-import sys
-import textwrap
-import threading
-import warnings
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gmtauber import floatfmt, generators
+from gmtauber import cli, floatfmt, generators
 
 import support
 
-C = floatfmt.CSV_CHUNK_ROWS
-HEADER = b"n,a,b,c\n"
+C = 1 << 13  # the rows of one block of a one-column table
+HEADER = b"header\n"  # still in f's buffer when the rows are written
 
 
-def _columns(length: int) -> tuple[np.ndarray, ...]:
+def _columns(length: int, n_cols: int = 5) -> tuple[np.ndarray, ...]:
     rng = np.random.default_rng(length)
     a = rng.standard_normal(length)
     a[::7] = -0.0
@@ -29,12 +27,15 @@ def _columns(length: int) -> tuple[np.ndarray, ...]:
         b = np.exp(rng.uniform(-800.0, 800.0, length))  # inf, subnormals, 0.0
     c = rng.uniform(0.0, 1.0, length)
     c[::11] = np.nan
-    return a, b, c
+    d = np.round(rng.uniform(-1e17, 1e17, length) * 10.0 ** -rng.integers(0, 18, length))
+    e = rng.standard_normal(length)
+    e[::5] = -1.2345678901234567e-300  # a 24-byte repr: its block takes a fourth word
+    return (a, b, c, d, e)[:n_cols]
 
 
 def _write(path, columns) -> bytes:
     with open(path, "wb") as f:
-        f.write(HEADER)  # buffered, unflushed when the children fork
+        f.write(HEADER)
         floatfmt.write_rows(f, columns, index=True)
     return path.read_bytes()
 
@@ -46,133 +47,87 @@ def _oracle(path, columns) -> bytes:
     return path.read_bytes()
 
 
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids forked during the test, recorded in the parent."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-CPUS = pytest.mark.parametrize("cpus", [1, 2, 3])
 LENGTHS = pytest.mark.parametrize(
     "length", [1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 5 * C + 3]
 )
 
 
-@CPUS
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 5])
 @LENGTHS
-def test_split_rows_equal_the_one_process_loop(tmp_path, monkeypatch, forks, cpus, length):
-    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: cpus)
-    columns = _columns(length)
+def test_split_rows_equal_the_one_process_loop(tmp_path, n_cols, length):
+    columns = _columns(length, n_cols)
     assert _write(tmp_path / "split.csv", columns) == _oracle(tmp_path / "one.csv", columns)
-    chunks = -(-length // C)
-    assert len(forks) == min(cpus, chunks) - 1
-    assert _no_child_left()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 5])
+def test_rows_around_block_edges(tmp_path, n_cols, blocks, offset):
+    """A table whose length is a multiple of the block's rows, 8192 //
+    n_cols, give or take one row."""
+    columns = _columns(blocks * (C // n_cols) + offset, n_cols)
+    assert _write(tmp_path / "split.csv", columns) == _oracle(tmp_path / "one.csv", columns)
 
 
 @pytest.mark.parametrize("kind", ["real", "ifn"])
-@CPUS
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @LENGTHS
-def test_split_sequence_equals_the_one_process_loop(
-    tmp_path, monkeypatch, forks, cpus, length, kind
-):
-    """The same writer under generators.write_sequence, with no index."""
-    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: cpus)
-    a, b, _ = _columns(length)
+def test_split_sequence_equals_the_one_process_loop(tmp_path, length, stride, kind):
+    """The same writer under generators.write_sequence, with no index, on
+    column views that step through their memory by stride values."""
+    mu, nu = _columns(length * stride, 2)
+    a, b = mu[::stride], nu[::stride]
     if kind == "real":
         values, want = a, "log:\n" + "".join(f"{v!r}\n" for v in a.tolist())
     else:
-        values = np.stack([a, b])
+        values = np.stack([mu, nu])[:, ::stride]
         want = "".join(f"{u!r},{v!r}\n" for u, v in zip(a.tolist(), b.tolist()))
     path = tmp_path / "seq.txt"
     with open(path, "wb") as f:
         generators.write_sequence(f, values)
     assert path.read_bytes() == want.encode("ascii")
-    chunks = -(-length // C)
-    assert len(forks) == min(cpus, chunks) - 1
-    assert _no_child_left()
 
 
-def test_failing_child_raises_in_the_caller(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: 3)
-    real = floatfmt._format_rows
+def test_rows_are_written_in_one_process_with_no_temporary_file(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError("no process may be started")
 
-    def format_rows(f, columns, start, stop, index):
-        if start > 0:  # only children format rows past part 0
-            raise OSError("no space left")
-        real(f, columns, start, stop, index)
-
-    monkeypatch.setattr(floatfmt, "_format_rows", format_rows)
-    with pytest.raises(RuntimeError, match=f"rows {2 * C}..{4 * C - 1} failed"):
-        _write(tmp_path / "r.csv", _columns(5 * C + 3))
-    assert len(forks) == 2
-    assert _no_child_left()
-
-
-def test_fork_warning_is_suppressed_under_error_filters(tmp_path, monkeypatch):
-    # A live thread makes the process multi-threaded at fork, which is
-    # what Python >= 3.12 warns about.
-    monkeypatch.setattr(floatfmt, "_usable_cpus", lambda: 2)
-    columns = _columns(2 * C + 1)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _write(tmp_path / "split.csv", columns)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert got == _oracle(tmp_path / "one.csv", columns)
-
-
-def test_cli_with_a_failing_child_does_not_exit_0(tmp_path):
-    script = textwrap.dedent(
-        """
-        import sys
-        from gmtauber import cli, floatfmt
-
-        real = floatfmt._format_rows
-
-        def format_rows(f, columns, start, stop, index):
-            if start > 0:
-                raise OSError("no space left")
-            real(f, columns, start, stop, index)
-
-        floatfmt._usable_cpus = lambda: 2
-        floatfmt._format_rows = format_rows
-        sys.exit(cli.main(sys.argv[1:]))
-        """
-    )
+    monkeypatch.setattr(os, "fork", no_fork)
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    env = dict(os.environ, TMPDIR=str(tmpdir))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "ifn-analyze", "--generator", "ex4-ifn",
-         "--n-max", str(2 * C + 5), "--format", "csv", "--out", str(tmp_path / "r.csv"),
-         "--no-timestamp"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode not in (0, 2, 3)
-    assert f"rows {C}..{2 * C + 5} failed" in proc.stderr
-    assert "no space left" in proc.stderr  # the child's own traceback
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    columns = _columns(5 * C + 3, 3)
+    assert _write(tmp_path / "one.csv", columns) == _oracle(tmp_path / "oracle.csv", columns)
+    out = tmp_path / "r.csv"
+    assert cli.main([
+        "ifn-analyze", "--generator", "ex4-ifn", "--n-max", str(2 * C + 5),
+        "--format", "csv", "--out", str(out), "--no-timestamp",
+    ]) == 0
+    assert out.read_bytes().count(b"\n") == 2 * C + 7  # the header and rows 0..2C+5
     assert list(tmpdir.iterdir()) == []
+
+
+class _Sink:
+    """A binary file that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        self.size += len(data)
+
+
+def test_memory_is_one_blocks_not_the_tables():
+    rng = np.random.default_rng(3)
+    columns = tuple(rng.standard_normal(10**6) for _ in range(3))
+    floatfmt.rows(np.array([[0.1]]))  # the tables, built once per process
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        floatfmt.write_rows(sink, columns, index=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 50 * 10**6  # the table's text: about 60 MB
+    assert peak < 3 * 2**20, peak

@@ -1,9 +1,10 @@
 """The package entry points: `import gmtauber` loads no submodule and
 not numpy, its lazy names are the submodules' own objects, library
 imports leave the environment alone, the `gmt` entry holds OpenBLAS to
-one thread unless the caller chose a count, and it ends quietly when
-its stdout's reader leaves early. Each check runs in a fresh
-interpreter, since this one has numpy loaded already."""
+one thread unless the caller chose a count, it ends quietly when its
+stdout's reader leaves early, and it exits 2 with one line when stdout
+cannot be written. Each check runs in a fresh interpreter, since this
+one has numpy loaded already."""
 
 import os
 import re
@@ -138,3 +139,35 @@ def test_gmt_entry_ends_quietly_when_the_reader_leaves():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["generate", "analyze", "report"])
+def test_gmt_entry_exits_2_when_stdout_is_full(tmp_path, command, buffered):
+    """Every write to stdout fails on /dev/full: one error line and exit 2,
+    with stdout block-buffered (its exit flush fails too) or not."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = dict(base, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), base.get("PYTHONPATH")) if p
+    ))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    gmt = [sys.executable, "-m", "gmtauber"]
+    analyze = ["analyze", "--generator", "ex2", "--n-max", "200", "--no-timestamp"]
+    if command == "generate":
+        argv = ["generate", "--generator", "ex2", "--n-max", "3"]
+    elif command == "analyze":
+        argv = analyze
+    else:
+        report = tmp_path / "a.json"
+        subprocess.run([*gmt, *analyze, "--out", str(report)], check=True, env=env, timeout=120)
+        argv = ["report", "--in", str(report)]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [*gmt, *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr

@@ -12,8 +12,8 @@ indices (the `log_u` column of every value that `math.log` takes), of
 one shared `S`), a narrow window with `--lambda-grid 0.5,0.75` (backward
 blocks that share one index),
 `ifn-analyze --format csv` and `generate --out` of a real and an IFN
-sequence at 20001 indices, which the row writer splits across processes
-where two CPUs are usable, `--theta 3` for `analyze` and `ifn-analyze
+sequence at 20001 indices, which the row writer formats in several
+blocks, `--theta 3` for `analyze` and `ifn-analyze
 --mode otimes`, IFN files on the simplex boundary in both modes, an IFN file that only the per-line
 reader takes: CRLF endings, whitespace-only lines and `2_5e-2` tokens,
 a `log:` file and a plain file of the same kind (the `log:` header
@@ -166,7 +166,7 @@ def small_cases() -> list[tuple[list[str], list[str]]]:
     for g in REAL_GENERATORS + IFN_GENERATORS:
         cases.append((["generate", "--generator", g, "--n-max", "300"], []))
     cases.append((["generate", "--generator", "ex1", "--n-max", "50", "--out", "gen.txt"], ["gen.txt"]))
-    # Three chunks each, so the row writer forks where two CPUs are usable.
+    # Three or more row-writer blocks each: 8192 rows of one column, 4096 of two.
     for g in ("ex4-ifn", "exp-decay:c=2"):
         cases.append((
             ["generate", "--generator", g, "--n-max", "20000", "--out", "big.txt"], ["big.txt"]
