@@ -576,5 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # `python -m gmtauber.cli` is the `gmt` entry too
+    from gmtauber.__main__ import run
+
+    sys.exit(run())

@@ -1,10 +1,12 @@
 """The package entry points: `import gmtauber` loads no submodule and
 not numpy, its lazy names are the submodules' own objects, library
-imports leave the environment alone, the `gmt` entry holds OpenBLAS to
-one thread unless the caller chose a count, it ends quietly when its
-stdout's reader leaves early, and it exits 2 with one line when stdout
-cannot be written. Each check runs in a fresh interpreter, since this
-one has numpy loaded already."""
+imports leave the environment and the cycle collector alone, the `gmt`
+entry holds OpenBLAS to one thread unless the caller chose a count,
+runs with the collector off and its objects frozen, leaves the collector
+next to nothing to find, ends quietly when its stdout's reader leaves
+early, and exits 2 with one line when stdout cannot be written. Each
+check runs in a fresh interpreter, since this one has numpy loaded
+already and its collector is pytest's."""
 
 import os
 import re
@@ -72,6 +74,7 @@ def test_lazy_names_are_listed_and_are_the_submodules_objects():
 def test_library_use_leaves_the_environment_alone():
     _run(
         """
+        import gc
         import io
         import os
         from contextlib import redirect_stdout
@@ -82,6 +85,7 @@ def test_library_use_leaves_the_environment_alone():
         with redirect_stdout(io.StringIO()):
             assert gmtauber.cli.main(["generate", "--generator", "ex2", "--n-max", "3"]) == 0
         assert dict(os.environ) == before
+        assert gc.isenabled() and gc.get_freeze_count() == 0, gc.get_freeze_count()
         """
     )
 
@@ -116,6 +120,52 @@ def test_gmt_entry_keeps_a_caller_set_thread_count():
     assert value == "3"
 
 
+def test_gmt_entry_runs_with_the_collector_off_and_frozen():
+    out = _run(_GMT + "    import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    assert out.splitlines()[-1] == "False True"
+
+
+_COLLECT = """
+    import gc
+    import io
+    from contextlib import redirect_stdout
+
+    gc.disable()
+    import gmtauber.cli
+    with redirect_stdout(io.StringIO()):
+        assert gmtauber.cli.main(ARGV) == 0
+    print(gc.collect())
+"""
+
+
+def _unreachable(argv: list[str]) -> int:
+    """Objects a collection finds after one `cli.main(argv)` in a fresh
+    interpreter whose collector was off from the start, as under `gmt`."""
+    return int(_run(_COLLECT.replace("ARGV", repr(argv))))
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze", "ifn-analyze", "report"])
+def test_gmt_run_leaves_the_collector_next_to_nothing(tmp_path, command):
+    """`gmt` never collects, so a run's cyclic garbage must be small and
+    must not grow with N."""
+    found = {}
+    for n in (1000, 100000):
+        out, doc = str(tmp_path / f"{n}.out"), str(tmp_path / f"{n}.json")
+        source = ["--n-max", str(n), "--no-timestamp"]
+        argv = {
+            "generate": ["generate", "--generator", "ex4-ifn", "--n-max", str(n), "--out", out],
+            "analyze": ["analyze", "--generator", "ex1", *source, "--out", doc],
+            "ifn-analyze": ["ifn-analyze", "--generator", "ex4-ifn", *source, "--mode", "otimes",
+                            "--format", "csv", "--out", out],
+            "report": ["report", "--in", doc, "--format", "csv", "--out", out],
+        }
+        if command == "report":
+            _unreachable(argv["analyze"])
+        found[n] = _unreachable(argv[command])
+    assert max(found.values()) < 1000, found
+    assert found[100000] - found[1000] <= 50, found
+
+
 def test_console_script_is_the_entry():
     pyproject = (SRC.parent / "pyproject.toml").read_text()
     assert re.search(r'^gmt = "gmtauber\.__main__:run"$', pyproject, re.M)
@@ -124,14 +174,14 @@ def test_console_script_is_the_entry():
     assert callable(entry.run)
 
 
-def test_gmt_entry_ends_quietly_when_the_reader_leaves():
+def _reader_leaves(module: str) -> None:
     # `gmt generate | head -1`: the sequence is written in chunks, and the
     # chunk after the reader has gone meets a closed pipe.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gmtauber", "generate", "--generator", "ex4-ifn",
+        [sys.executable, "-m", module, "generate", "--generator", "ex4-ifn",
          "--n-max", "200000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
@@ -139,6 +189,14 @@ def test_gmt_entry_ends_quietly_when_the_reader_leaves():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_gmt_entry_ends_quietly_when_the_reader_leaves():
+    _reader_leaves("gmtauber")
+
+
+def test_cli_module_entry_ends_quietly_when_the_reader_leaves():
+    _reader_leaves("gmtauber.cli")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
